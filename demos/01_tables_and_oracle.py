@@ -2,8 +2,9 @@
 
 The counting function delta_k(n) is the coefficient sequence of the eta
 quotient (1-q^2n)(1-q^(2k+1)n) / ((1-q^n)^3 (1-q^(4k+2)n)).  We expand it
-with sparse binomial passes and confirm every coefficient against a
-log-derivative recurrence that shares no code with the expansion.
+with the sparse series of Euler's pentagonal theorem and Jacobi's identity
+and confirm every coefficient against a log-derivative recurrence that
+shares no code with the expansion.
 """
 
 from bkd import broken_diamond_spec, delta_oracle_logderiv, delta_table

@@ -8,22 +8,27 @@
     bkd scan conjecture --k 1 --r 3 --to 5000
 
 Exit codes: 0 all checks pass, 1 mathematical counterexample found,
-2 precision-inconclusive outcome, 3 usage error.
+2 precision-inconclusive outcome, 3 usage error, 4 internal error (the
+traceback goes to stderr; no verdict was reached).
 
 Expanded tables are cached under $BKD_CACHE_DIR (default ~/.cache/bkd),
-keyed by k with an integrity hash, and reused for any smaller N.
+one file per k, and reused for any smaller N.  A file is used only when
+its k and N fit the request and its hash, which covers k, N and every
+coefficient, matches.  `bkd expand` prints the same hash as its checksum.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import hashlib
 import io
 import json
 import os
 import sys
+import tempfile
 import time
+import traceback
 from typing import Optional
 
 from . import asymptotic, inequalities
@@ -34,6 +39,7 @@ EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
@@ -59,34 +65,59 @@ def _cache_path(k: int) -> str:
     return os.path.join(_cache_dir(), "delta_k%d.json" % k)
 
 
-def _coeff_hash(coeffs) -> str:
-    h = hashlib.sha256()
-    h.update(",".join(str(v) for v in coeffs).encode())
-    return h.hexdigest()
+def _read_cache(path: str, k: int, N: int) -> Optional[PartitionTable]:
+    """The cached table at ``path`` cut to delta_k(0..N), or None.
+
+    A file is trusted only when it holds delta_k for this k, reaches at
+    least N, and its stored hash equals :meth:`PartitionTable.content_hash`
+    of what it holds, which covers k, N and every coefficient.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            obj = json.load(fp)
+        cached = PartitionTable.from_json_obj(obj)
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    if cached.k != k or cached.N < N or obj.get("sha256") != cached.content_hash():
+        return None
+    return PartitionTable(k=k, N=N, coeffs=cached.coeffs[: N + 1])
+
+
+def _write_cache(path: str, table: PartitionTable) -> None:
+    """Replace the cache file at ``path`` by ``table`` atomically.
+
+    Each writer goes through its own temporary file, so concurrent runs
+    never write into one file.  The cache is best effort: a failed write
+    removes its temporary file and is otherwise ignored.
+    """
+    obj = table.to_json_obj()
+    obj["sha256"] = table.content_hash()
+    directory = os.path.dirname(path)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(
+            dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
+        )
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fp:
+            json.dump(obj, fp, separators=(",", ":"))
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if not isinstance(exc, OSError):  # e.g. KeyboardInterrupt
+            raise
 
 
 def load_table(k: int, N: int) -> PartitionTable:
     """Table of delta_k(0..N), reusing any cached expansion with N' >= N."""
     path = _cache_path(k)
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            obj = json.load(fp)
-        if obj.get("N", -1) >= N and obj.get("sha256") == _coeff_hash(obj["coeffs"]):
-            coeffs = tuple(int(s) for s in obj["coeffs"][: N + 1])
-            return PartitionTable(k=k, N=N, coeffs=coeffs)
-    except (OSError, ValueError, KeyError):
-        pass
-    table = delta_table(k, N)
-    try:
-        os.makedirs(_cache_dir(), exist_ok=True)
-        obj = table.to_json_obj()
-        obj["sha256"] = _coeff_hash(obj["coeffs"])
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fp:
-            json.dump(obj, fp, separators=(",", ":"))
-        os.replace(tmp, path)
-    except OSError:
-        pass  # cache is best effort
+    table = _read_cache(path, k, N)
+    if table is None:
+        table = delta_table(k, N)
+        _write_cache(path, table)
     return table
 
 
@@ -128,7 +159,7 @@ def _cmd_expand(args) -> int:
         table.N,
         table.coeffs[0],
         table.coeffs[-1],
-        _coeff_hash(table.coeffs),
+        table.content_hash(),
     )
     if args.out:
         _emit(payload, args.out)
@@ -473,6 +504,10 @@ def main(argv=None) -> int:
     except (ValueError, IndexError) as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

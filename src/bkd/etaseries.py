@@ -11,9 +11,19 @@ of one such quotient:
 
 Two independent algorithms are provided:
 
-* :func:`expand_eta_quotient` applies each binomial factor (1 - q^t) as a
-  sparse O(N) array pass (backward difference for a multiplication,
-  cumulative sums with stride t for a division).
+* :func:`expand_eta_quotient` multiplies and divides a dense coefficient
+  array by sparse series for the factors (q^m;q^m)_inf, where
+  (a;q)_inf = prod_{n>=0} (1 - a q^n).  Two classical identities
+  (Andrews, *The Theory of Partitions*, 1976, ch. 1-2) give the series:
+
+      Euler:  (q^m;q^m)_inf   = sum_{j in Z}  (-1)^j q^{m j(3j-1)/2}
+      Jacobi: (q^m;q^m)_inf^3 = sum_{j >= 0} (-1)^j (2j+1) q^{m j(j+1)/2}
+
+  Truncated at q^N they have O(sqrt(N/m)) terms, so one pass costs
+  O(N^1.5) integer operations.  For k >= 1 a table of delta_k(0..N)
+  takes four passes: Jacobi's series divides out (q;q)^3 and Euler's
+  series handles the other three factors.  Division needs no inverse series: the divisor
+  has constant term 1, so the quotient is a recurrence.
 * :func:`delta_oracle_logderiv` runs the logarithmic-derivative recurrence
   n f_n = sum_j w_j f_{n-j} driven by divisor sums.
 
@@ -31,8 +41,8 @@ import io
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import add, sub
+from itertools import islice, repeat
+from operator import add, mul
 from typing import Iterable, Sequence, TextIO
 
 __all__ = [
@@ -93,39 +103,76 @@ def broken_diamond_spec(k: int) -> EtaQuotientSpec:
 
 
 # ---------------------------------------------------------------------------
-# Sparse binomial passes
+# Sparse factor series
 # ---------------------------------------------------------------------------
 
-def _apply_multiply(c: list[int], t: int) -> None:
-    """In place c := c * (1 - q^t), truncated to len(c) terms."""
-    n = len(c)
-    if t < n:
-        # snapshot semantics: every read sees pre-pass values
-        c[t:] = list(map(sub, c[t:], c[: n - t]))
+def _euler_series(m: int, N: int) -> list[tuple[int, int]]:
+    """Nonconstant terms of (q^m;q^m)_inf up to q^N, by Euler's theorem.
+
+    (q^m;q^m)_inf = sum_{j in Z} (-1)^j q^{m j(3j-1)/2}.  The terms come
+    as (exponent, coefficient) pairs with ascending exponents; the
+    constant term 1 is implied.
+    """
+    terms = []
+    j = 1
+    while m * j * (3 * j - 1) // 2 <= N:
+        sign = -1 if j % 2 else 1
+        terms.append((m * j * (3 * j - 1) // 2, sign))
+        if m * j * (3 * j + 1) // 2 <= N:
+            terms.append((m * j * (3 * j + 1) // 2, sign))
+        j += 1
+    return terms
 
 
-def _apply_divide(c: list[int], t: int) -> None:
-    """In place c := c / (1 - q^t), i.e. stride-t cumulative sums."""
-    n = len(c)
-    if t >= n:
-        return
-    if t < 32:
-        for r in range(t):
-            c[r::t] = accumulate(c[r::t])
-    else:
-        # ascending blocks of width t; each block adds the previous,
-        # already-updated block, realizing c[i] += c[i - t]
-        for s in range(t, n, t):
-            e = min(s + t, n)
-            c[s:e] = list(map(add, c[s:e], c[s - t : e - t]))
+def _jacobi_series(m: int, N: int) -> list[tuple[int, int]]:
+    """Nonconstant terms of (q^m;q^m)_inf^3 up to q^N, by Jacobi's identity.
+
+    (q^m;q^m)_inf^3 = sum_{j>=0} (-1)^j (2j+1) q^{m j(j+1)/2}, in the
+    same (exponent, coefficient) form as :func:`_euler_series`.
+    """
+    terms = []
+    j = 1
+    while m * j * (j + 1) // 2 <= N:
+        terms.append((m * j * (j + 1) // 2, (-1) ** j * (2 * j + 1)))
+        j += 1
+    return terms
+
+
+def _multiply(f: list[int], series: list[tuple[int, int]]) -> list[int]:
+    """f * (1 + series), truncated to len(f) terms."""
+    n = len(f)
+    g = f[:]
+    for e, c in series:
+        g[e:] = map(add, g[e:], map(mul, f[: n - e], repeat(c)))
+    return g
+
+
+def _divide(f: list[int], series: list[tuple[int, int]]) -> list[int]:
+    """f / (1 + series), truncated to len(f) terms, computed in place.
+
+    The divisor has constant term 1, so the quotient solves the
+    recurrence f[n] -= sum_e c_e * f[n - e] over the terms with e <= n.
+    """
+    active = 0
+    for n in range(1, len(f)):
+        while active < len(series) and series[active][0] <= n:
+            active += 1
+        s = 0
+        for e, c in islice(series, active):
+            s += c * f[n - e]
+        f[n] -= s
+    return f
 
 
 def expand_eta_quotient(spec: EtaQuotientSpec, N: int) -> list[int]:
     """First N+1 coefficients of the eta quotient described by ``spec``.
 
-    Multiplications (positive exponents) are applied first and divisions
-    last, so every intermediate array is the integer coefficient array of
-    a genuine truncated product.  Cost is O(N^2 * sum |e_m| / m) integer
+    A factor (m, e) becomes |e| // 3 passes of Jacobi's series for
+    (q^m;q^m)^3 and |e| % 3 passes of Euler's series for (q^m;q^m).  A
+    pass multiplies the dense array by the sparse series when e > 0 and
+    divides it when e < 0.  Multiplications run first and divisions
+    last, which keeps the intermediate values small.  A series of modulus
+    m has O(sqrt(N/m)) terms, so a pass costs O(N sqrt(N/m)) integer
     operations.
     """
     if N < 0:
@@ -134,16 +181,11 @@ def expand_eta_quotient(spec: EtaQuotientSpec, N: int) -> list[int]:
         spec = EtaQuotientSpec.from_factors(spec)
     c = [0] * (N + 1)
     c[0] = 1
-    for m, e in spec.factors:
-        if e > 0:
-            for _ in range(e):
-                for j in range(1, N // m + 1):
-                    _apply_multiply(c, m * j)
-    for m, e in spec.factors:
-        if e < 0:
-            for _ in range(-e):
-                for j in range(1, N // m + 1):
-                    _apply_divide(c, m * j)
+    for m, e in sorted(spec.factors, key=lambda factor: factor[1] < 0):
+        cubes, singles = divmod(abs(e), 3)
+        passes = [_jacobi_series(m, N)] * cubes + [_euler_series(m, N)] * singles
+        for series in passes:
+            c = _multiply(c, series) if e > 0 else _divide(c, series)
     return c
 
 

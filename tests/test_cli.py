@@ -3,6 +3,7 @@ import json
 import pytest
 
 from bkd.cli import main
+from bkd.etaseries import PartitionTable, delta_table
 
 pytestmark = pytest.mark.usefixtures("cache_dir")
 
@@ -146,6 +147,16 @@ class TestExitCodeMapping:
         code = _finish_report(args, rep, extra={"inconclusive": [1]})
         assert code == EXIT_INCONCLUSIVE
 
+    def test_internal_error_maps_to_4(self, capsys, monkeypatch):
+        def broken(k, N):
+            raise AssertionError("invariant violated")
+
+        monkeypatch.setattr("bkd.cli.delta_table", broken)
+        code, _, err = run(capsys, "verify", "turan3", "--k", "1", "--to", "20")
+        assert code == 4  # not 1, the counterexample code
+        assert err.startswith("internal error:")
+        assert "AssertionError: invariant violated" in err
+
 
 class TestDeterminism:
     def test_identical_reports_modulo_timing(self, capsys):
@@ -228,6 +239,34 @@ class TestCache:
         code, out, _ = run(capsys, "expand", "--k", "1", "--n", "30", "--format", "csv")
         assert code == 0
         assert "5,75" in out.splitlines()
+
+    def test_cache_of_other_k_rejected(self, capsys, cache_dir):
+        run(capsys, "expand", "--k", "1", "--n", "50")
+        (cache_dir / "delta_k2.json").write_text((cache_dir / "delta_k1.json").read_text())
+        code, out, _ = run(capsys, "expand", "--k", "2", "--n", "3", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[-1] == "3,19"  # delta_2(3), not delta_1(3) = 18
+
+    def test_cache_hash_is_table_hash(self, capsys, cache_dir):
+        _, _, err = run(capsys, "expand", "--k", "1", "--n", "20")
+        obj = json.loads((cache_dir / "delta_k1.json").read_text())
+        assert "sha256=%s" % delta_table(1, 20).content_hash() in err
+        assert obj["sha256"] == delta_table(1, 20).content_hash()
+
+    def test_stale_temp_path_does_not_block_write(self, capsys, cache_dir):
+        (cache_dir / "delta_k1.json.tmp").mkdir(parents=True)
+        code, _, _ = run(capsys, "expand", "--k", "1", "--n", "20")
+        assert code == 0
+        table = PartitionTable.from_json_obj(
+            json.loads((cache_dir / "delta_k1.json").read_text())
+        )
+        assert table == delta_table(1, 20)
+
+    def test_failed_write_leaves_no_temp_file(self, capsys, cache_dir):
+        (cache_dir / "delta_k1.json").mkdir(parents=True)  # os.replace must fail
+        code, out, _ = run(capsys, "expand", "--k", "1", "--n", "3", "--format", "csv")
+        assert code == 0 and out.splitlines()[-1] == "3,18"
+        assert [p.name for p in cache_dir.iterdir()] == ["delta_k1.json"]
 
 
 class TestUsage:

@@ -117,15 +117,20 @@ class TestOracle:
     @given(
         exps=st.dictionaries(
             st.integers(min_value=1, max_value=6),
-            st.integers(min_value=-3, max_value=3).filter(lambda e: e != 0),
+            st.integers(min_value=-7, max_value=7).filter(lambda e: e != 0),
             min_size=1,
             max_size=4,
         ),
-        order=st.integers(min_value=0, max_value=40),
+        order=st.integers(min_value=0, max_value=200),
     )
     def test_oracle_equivalence_random_specs(self, exps, order):
         s = EtaQuotientSpec.from_factors(exps.items())
         assert expand_eta_quotient(s, order) == eta_oracle_coeffs(s, order)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_oracle_equivalence_workload_size(self, k):
+        # the largest tables the benchmark workloads build
+        assert list(delta_table(k, 3600).coeffs) == delta_oracle_logderiv(k, 3600)
 
 
 class TestSerialization:
