@@ -19,8 +19,25 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial
+from math import ceil, factorial, log2
 from typing import Optional, Union
+
+import mpmath as mp
+from mpmath.libmp import (
+    fone,
+    from_int,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_lt,
+    mpf_mul,
+    mpf_pos,
+    mpf_pow_int,
+    mpf_shift,
+    mpf_sub,
+    round_ceiling,
+    round_floor,
+)
 
 from .etaseries import PartitionTable
 from .intervals import (
@@ -41,8 +58,10 @@ __all__ = [
     "bessel_i",
     "i2_scaled_main",
     "auto_prec",
+    "remainder_precisions",
     "bessel_remainder_margin",
     "bessel_remainder_check",
+    "margin_outcome",
     "general_remainder_terms",
     "general_remainder_bound",
     "gamma_constants",
@@ -100,44 +119,63 @@ def x_param(k: int, n: int, prec: int = DEFAULT_PREC) -> IntervalReal:
 # Bessel function by ascending series
 # ---------------------------------------------------------------------------
 
-def bessel_i(nu: int, z, prec: int = DEFAULT_PREC) -> IntervalReal:
-    """Enclosure of I_nu(z) for z >= 0 by the ascending series.
+def _series_head(nu: int, z: mp.mpf, prec: int, rnd: str) -> tuple:
+    """((z/2)^2, (z/2)^nu / nu!) as raw mpf values, each step rounded
+    in direction ``rnd``."""
+    half = mpf_shift(mpf_pos(z._mpf_, prec, rnd), -1)
+    term = mpf_pow_int(half, nu, prec, rnd)
+    for m in range(2, nu + 1):
+        term = mpf_div(term, from_int(m), prec, rnd)
+    return mpf_mul(half, half, prec, rnd), term
 
-    All series terms are positive, so truncation error is one-sided: once
-    the term ratio (z/2)^2 / ((m+1)(m+nu+1)) drops below 1/2 and the term
-    itself is negligible at working precision, a geometric tail bound is
-    added to the upper endpoint.  Rigorous for the whole range used here
-    (z up to ~10^4); the series length is about 3z/2 + prec terms.
+
+def bessel_i(nu: int, z, prec: int = DEFAULT_PREC) -> IntervalReal:
+    """Enclosure of I_nu(z) for z >= 0 by the ascending series
+
+        I_nu(z) = sum_m (z/2)^(2m + nu) / (m! (m + nu)!).
+
+    Every term is positive and increasing in z, so the series is summed
+    twice with directed rounding (Brent-Zimmermann, *Modern Computer
+    Arithmetic*, ch. 4): from z.lo with every operation rounded down,
+    which gives a lower bound at any truncation, and from z.hi with every
+    operation rounded up.  Once the term ratio (z/2)^2 / ((m+1)(m+nu+1))
+    is below 1/2 and the term is negligible at working precision, the
+    upper sum adds the geometric bound term * ratio / (1 - ratio) on the
+    tail.  Rigorous for the whole range used here (z up to ~10^4); the
+    series length is about 3z/2 + prec terms.
     """
     if nu < 0:
         raise ValueError("nu must be a nonnegative integer")
     z_iv = to_interval(z, prec)
     if z_iv.lo < 0:
         raise ValueError("bessel_i requires z >= 0")
-    ctx = ctx_for(prec)
-    zz = unwrap(z_iv, ctx)
-    half = zz / 2
-    q = half * half
-    term = half**nu if nu else ctx.one
-    for m in range(1, nu + 1):
-        term = term / m
-    s = term
-    eps = ctx.mpf(2) ** (-(prec + 16))
+    q_lo, t_lo = _series_head(nu, z_iv.lo, prec, round_floor)
+    q_hi, t_hi = _series_head(nu, z_iv.hi, prec, round_ceiling)
+    s_lo, s_hi = t_lo, t_hi
+    shift = -(prec + 16)
+    decaying = False
     m = 0
     limit = 8 * (int(float(z_iv.hi)) + prec + nu + 16)
     while m < limit:
         m += 1
-        term = term * q / (m * (m + nu))
-        s = s + term
-        ratio = q / ((m + 1) * (m + nu + 1))
-        if ratio.b < 0.5:
-            small = term.b == 0 or (s.a > 0 and term.b < (s.a * eps).b)
-            if small:
-                # upcoming ratios only shrink, so the tail is bounded by a
-                # geometric series; ratio stays an interval so the bound
-                # itself rounds outward
-                tail = term * ratio / (1 - ratio)
-                return wrap(s + ctx.mpf([0, tail.b]), prec)
+        d = from_int(m * (m + nu))
+        t_lo = mpf_div(mpf_mul(t_lo, q_lo, prec, round_floor), d, prec, round_floor)
+        t_hi = mpf_div(mpf_mul(t_hi, q_hi, prec, round_ceiling), d, prec, round_ceiling)
+        s_lo = mpf_add(s_lo, t_lo, prec, round_floor)
+        s_hi = mpf_add(s_hi, t_hi, prec, round_ceiling)
+        # the ratio only falls with m, so once below 1/2 it stays there
+        d_next = from_int((m + 1) * (m + nu + 1))
+        decaying = decaying or mpf_lt(mpf_shift(q_hi, 1), d_next)
+        if decaying and (t_hi == fzero or mpf_lt(t_hi, mpf_shift(s_lo, shift))):
+            ratio = mpf_div(q_hi, d_next, prec, round_ceiling)
+            tail = mpf_div(
+                mpf_mul(t_hi, ratio, prec, round_ceiling),
+                mpf_sub(fone, ratio, prec, round_floor),
+                prec,
+                round_ceiling,
+            )
+            s_hi = mpf_add(s_hi, tail, prec, round_ceiling)
+            return IntervalReal(lo=mp.make_mpf(s_lo), hi=mp.make_mpf(s_hi), prec=prec)
     raise RuntimeError("bessel series failed to converge within %d terms" % limit)
 
 
@@ -168,13 +206,35 @@ def i2_scaled_main(z, prec: Optional[int] = None) -> IntervalReal:
 
 
 def auto_prec(z) -> int:
-    """Working precision for remainder checks at argument z.
+    """Starting precision for remainder checks at argument z:
+    ceil(6 log2 z) + 64 bits.
 
-    The product I_2(z) e^{-z} cancels a factor of e^z in magnitude, so the
-    policy budgets z / ln 2 mantissa bits plus guard: ceil(1.45 z) + 64.
+    I_2(z) e^{-z} sqrt(2 pi z) is O(1): multiplying by e^{-z} cancels
+    nothing, because the floating-point exponent absorbs the magnitude of
+    I_2(z).  The margin 73/z^6 - |err| is about 72/z^6, so it needs an
+    absolute accuracy well below z^-6 on an O(1) quantity (6 log2 z bits)
+    plus guard bits for the rounding of about 3z/2 positive series terms.
+    At z = 10^4 this is 144 bits.
     """
     z_hi = float(to_interval(z, 64).hi)
-    return int(ceil(1.45 * z_hi)) + 64
+    return int(ceil(6 * log2(z_hi))) + 64
+
+
+def remainder_precisions(z, prec: Union[int, str, None] = None) -> list[int]:
+    """The precisions a remainder check at z tries, in order.
+
+    An explicit ``prec`` is the only attempt.  With prec None or "auto"
+    the check starts at :func:`auto_prec` and doubles while the margin
+    straddles 0, up to a cap of ceil(1.45 z) + 64 bits, at which the
+    last attempt is made.
+    """
+    if prec not in (None, "auto"):
+        return [int(prec)]
+    cap = int(ceil(1.45 * float(to_interval(z, 64).hi))) + 64
+    schedule = [min(auto_prec(z), cap)]
+    while schedule[-1] < cap:
+        schedule.append(min(2 * schedule[-1], cap))
+    return schedule
 
 
 def scaled_i2(z, prec: int) -> IntervalReal:
@@ -191,9 +251,10 @@ def bessel_remainder_margin(z, prec: Union[int, str, None] = None) -> IntervalRe
     """Margin 73/z^6 - |I_2(z) e^{-z} sqrt(2 pi z) - main part|.
 
     The remainder claim holds at z iff the returned enclosure is
-    provably positive (margin.lo > 0).  Requires z >= (15/2)^6 / 120;
-    with prec None or "auto" the working precision follows
-    :func:`auto_prec`.
+    provably positive (margin.lo > 0).  Requires z >= (15/2)^6 / 120.
+    The precisions tried are those of :func:`remainder_precisions`; the
+    first margin that does not straddle 0, or the last one, is returned,
+    and its ``prec`` says which attempt that was.
     """
     z_iv = to_interval(z, 64)
     if z_iv.lo_fraction() < Z_REMAINDER_MIN:
@@ -201,22 +262,29 @@ def bessel_remainder_margin(z, prec: Union[int, str, None] = None) -> IntervalRe
             "remainder bound is only claimed for z >= (15/2)^6/120 = %s"
             % float(Z_REMAINDER_MIN)
         )
-    p = auto_prec(z_iv) if prec in (None, "auto") else int(prec)
-    z_iv = to_interval(z, p)
-    ctx = ctx_for(p)
-    zz = unwrap(z_iv, ctx)
-    err = unwrap(scaled_i2(z_iv, p), ctx) - unwrap(i2_scaled_main(z_iv, p), ctx)
-    margin = 73 / zz**6 - abs(err)
-    return wrap(margin, p)
+    for p in remainder_precisions(z_iv, prec):
+        z_p = to_interval(z, p)
+        ctx = ctx_for(p)
+        zz = unwrap(z_p, ctx)
+        err = unwrap(scaled_i2(z_p, p), ctx) - unwrap(i2_scaled_main(z_p, p), ctx)
+        margin = wrap(73 / zz**6 - abs(err), p)
+        if not margin.straddles_zero():
+            break
+    return margin
 
 
-def bessel_remainder_check(z, prec: Union[int, str, None] = None) -> CheckOutcome:
-    margin = bessel_remainder_margin(z, prec)
+def margin_outcome(margin: IntervalReal) -> CheckOutcome:
+    """PASS when the margin is provably positive, FAIL when provably
+    negative, INCONCLUSIVE when its enclosure straddles 0."""
     if margin.lo > 0:
         return CheckOutcome.PASS
     if margin.hi < 0:
         return CheckOutcome.FAIL
     return CheckOutcome.INCONCLUSIVE
+
+
+def bessel_remainder_check(z, prec: Union[int, str, None] = None) -> CheckOutcome:
+    return margin_outcome(bessel_remainder_margin(z, prec))
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +449,13 @@ def envelope_sandwich_outcome(
 # Main term and its sandwiches
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=256)
 def main_term(k: int, n: int, prec: int = DEFAULT_PREC) -> IntervalReal:
-    """M_k(n) = alpha_k pi^3 / (18 x^2) * I_2(sqrt(alpha_k) x) at x = x_k(n)."""
+    """M_k(n) = alpha_k pi^3 / (18 x^2) * I_2(sqrt(alpha_k) x) at x = x_k(n).
+
+    Memoized: Lambda(n) needs M(n-1), M(n) and M(n+1), so a scan over
+    consecutive n asks for each value three times.
+    """
     ctx = ctx_for(prec)
     x = unwrap(x_param(k, n, prec), ctx)
     ra = unwrap(_sqrt_alpha(k, prec), ctx)

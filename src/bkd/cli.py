@@ -265,6 +265,11 @@ def _ratio_csv_rows(k: int, ns, table, prec: int, outcomes) -> str:
 
 
 def _verify_interval_range(args) -> int:
+    if args.k not in (1, 2):
+        raise UsageError("verify %s is stated for --k 1 or 2" % args.check)
+    if args.from_n < 2:
+        raise UsageError("verify %s needs --from >= 2 (Lambda(n) uses n - 1)"
+                         % args.check)
     prec = _parse_prec(args.prec) or 384
     table = load_table(args.k, args.to + 1)
     t0 = time.perf_counter()
@@ -309,6 +314,11 @@ def _parse_z_grid(spec: str) -> list[float]:
         raise UsageError("--z-grid expects LO:HI:COUNT")
     if not (0 < lo <= hi) or count < 1:
         raise UsageError("bad z grid %r" % spec)
+    if lo < asymptotic.Z_REMAINDER_MIN:
+        raise UsageError(
+            "--z-grid LO must be >= (15/2)^6/120 = %s, where the remainder "
+            "bound is claimed" % float(asymptotic.Z_REMAINDER_MIN)
+        )
     if count == 1:
         return [lo]
     ratio = (hi / lo) ** (1.0 / (count - 1))
@@ -319,11 +329,12 @@ def _verify_bessel(args) -> int:
     grid = _parse_z_grid(args.z_grid or "1484:10000:50")
     prec = _parse_prec(args.prec)
     t0 = time.perf_counter()
-    failures, inconclusive = [], []
-    rows = []
+    failures, inconclusive, precs, raises = [], [], [], []
     for i, z in enumerate(grid):
-        outcome = asymptotic.bessel_remainder_check(z, prec)
-        rows.append((i, z, outcome.value))
+        margin = asymptotic.bessel_remainder_margin(z, prec)
+        outcome = asymptotic.margin_outcome(margin)
+        precs.append(margin.prec)
+        raises.append(asymptotic.remainder_precisions(z, prec).index(margin.prec))
         if outcome is CheckOutcome.FAIL:
             failures.append(i)
         elif outcome is CheckOutcome.INCONCLUSIVE:
@@ -339,7 +350,8 @@ def _verify_bessel(args) -> int:
         % (args.z_grid or "1484:10000:50"),
     )
     extra = {"inconclusive": inconclusive,
-             "grid": ["%.6f" % z for z in grid]}
+             "grid": ["%.6f" % z for z in grid],
+             "prec": precs, "raises": raises}
     return _finish_report(args, report, extra=extra)
 
 
@@ -489,19 +501,32 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _validate(args) -> None:
+    """Reject out-of-range numbers before any work starts, so that an
+    exception raised later is an internal error, not a usage error."""
+    if getattr(args, "workers", 1) < 1:
+        raise UsageError("--workers must be >= 1")
+    if getattr(args, "k", None) is not None and args.k < 0:
+        raise UsageError("--k must be >= 0")
+    if getattr(args, "n", None) is not None and args.n < 0:
+        raise UsageError("--n must be >= 0")
+    for flag in ("r", "d"):
+        if getattr(args, flag, None) is not None and getattr(args, flag) < 1:
+            raise UsageError("--%s must be >= 1" % flag)
+    from_n = getattr(args, "from_n", 1)
+    if from_n < 1:
+        raise UsageError("--from must be >= 1")
+    if getattr(args, "to", None) is not None and args.to < from_n:
+        raise UsageError("--to %d is below --from %d" % (args.to, from_n))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "workers", 1) < 1:
-            raise UsageError("--workers must be >= 1")
-        if getattr(args, "k", None) is not None and args.k < 0:
-            raise UsageError("--k must be >= 0")
+        _validate(args)
         return args.handler(args)
     except UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, IndexError) as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except Exception:

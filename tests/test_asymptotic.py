@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bkd.asymptotic
 from bkd.asymptotic import (
     Z_REMAINDER_MIN,
     alpha,
@@ -22,6 +25,7 @@ from bkd.asymptotic import (
     main_term,
     main_term_sandwich,
     ratio_bounds,
+    remainder_precisions,
     sandwich_check,
     scaled_i2,
     tail_factors,
@@ -113,6 +117,23 @@ class TestBessel:
         ref = mp.besseli(nu, z)
         assert enc.lo <= ref <= enc.hi
 
+    @pytest.mark.parametrize("prec", [128, 384])
+    @pytest.mark.parametrize("nu", [0, 1, 2, 5])
+    def test_contains_library_value_at_large_z(self, nu, prec):
+        # a dyadic z = 10^4 and a non-dyadic enclosure z = x_1(8180) ~ 232
+        # (sized like the main-term arguments); mpmath's besseli of the
+        # exact argument, at 512 bits, must lie inside
+        x = x_param(1, 8180, prec)
+        assert x.lo < x.hi and 231 < float(x) < 233
+        with mp.workprec(512):
+            for z_enc, z_exact in (
+                (10**4, mp.mpf(10**4)),
+                (x, mp.pi * mp.sqrt(24 * 8180 - 4) / 6),
+            ):
+                enc = bessel_i(nu, z_enc, prec)
+                assert enc.lo <= mp.besseli(nu, z_exact) <= enc.hi
+                assert enc.width <= enc.hi * mp.mpf(2) ** (24 - prec)
+
 
 class TestScaledMain:
     def test_limit_is_one(self):
@@ -155,6 +176,33 @@ class TestRemainder:
 
     def test_check_outcome(self):
         assert bessel_remainder_check(2000) is CheckOutcome.PASS
+
+    def test_auto_prec_policy(self):
+        # ceil(6 log2 z) + 64: 144 bits at z = 10^4 (was ceil(1.45 z) + 64)
+        assert auto_prec(10**4) == 144
+        assert auto_prec(1484) == 128
+        assert remainder_precisions(1484) == [128, 256, 512, 1024, 2048, 2216]
+        assert remainder_precisions(1484, 300) == [300]
+
+    def test_precision_raised_until_decided(self, monkeypatch):
+        z = 10**4
+        cap = remainder_precisions(z)[-1]
+        assert cap == 14564  # the old budget ceil(1.45 z) + 64
+        assert bessel_remainder_check(z, 64) is CheckOutcome.INCONCLUSIVE
+        monkeypatch.setattr(bkd.asymptotic, "auto_prec", lambda z: 64)
+        margin = bessel_remainder_margin(z)
+        assert margin.lo > 0
+        assert 64 < margin.prec <= cap
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        z=st.floats(min_value=1484, max_value=10**4),
+        prec=st.integers(min_value=64, max_value=256),
+    )
+    def test_low_precision_never_fails(self, z, prec):
+        # too few bits may leave the margin undecided, never refuted
+        outcome = bessel_remainder_check(z, prec)
+        assert outcome in (CheckOutcome.PASS, CheckOutcome.INCONCLUSIVE)
 
 
 class TestGeneralRemainder:

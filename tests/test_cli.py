@@ -99,10 +99,25 @@ class TestVerify:
         assert code == 0
         obj = json.loads(out)
         assert obj["pass"] is True and obj["inconclusive"] == []
+        assert obj["prec"] == [128, 128] and obj["raises"] == [0, 0]
+
+    def test_bessel_raised_precision_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr("bkd.asymptotic.auto_prec", lambda z: 64)
+        code, out, _ = run(
+            capsys, "verify", "bessel", "--z-grid", "10000:10000:1", "--format", "json",
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["prec"] == [128] and obj["raises"] == [1]
 
     def test_bad_z_grid(self, capsys):
         code, _, err = run(capsys, "verify", "bessel", "--z-grid", "oops")
         assert code == 3
+
+    def test_z_grid_below_threshold(self, capsys):
+        code, _, err = run(capsys, "verify", "bessel", "--z-grid", "1400:1500:2")
+        assert code == 3
+        assert "1483.154296875" in err
 
     def test_phi_psi_certificates(self, capsys):
         code, out, _ = run(capsys, "verify", "phi-psi", "--format", "json")
@@ -156,6 +171,16 @@ class TestExitCodeMapping:
         assert code == 4  # not 1, the counterexample code
         assert err.startswith("internal error:")
         assert "AssertionError: invariant violated" in err
+
+    def test_internal_index_error_maps_to_4(self, capsys, monkeypatch):
+        def broken(k, N):
+            raise IndexError("internal bug")
+
+        monkeypatch.setattr("bkd.cli.load_table", broken)
+        code, _, err = run(capsys, "verify", "turan3", "--k", "1", "--to", "20")
+        assert code == 4  # not 3, the usage-error code
+        assert err.startswith("internal error:")
+        assert "IndexError: internal bug" in err
 
 
 class TestDeterminism:
@@ -282,3 +307,17 @@ class TestUsage:
     def test_argparse_error_mapped(self, capsys):
         code, _, _ = run(capsys, "expand", "--k", "1")  # missing --n
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("expand", "--k", "1", "--n", "-1"),
+        ("verify", "logconcave", "--k", "1", "--from", "0", "--to", "10"),
+        ("verify", "logconcave", "--k", "1", "--from", "20", "--to", "10"),
+        ("verify", "dlog", "--k", "1", "--r", "-2", "--to", "10"),
+        ("verify", "jensen", "--k", "1", "--d", "-1", "--to", "10"),
+        ("verify", "sandwich", "--k", "3", "--from", "5", "--to", "7"),
+        ("verify", "sandwich", "--k", "1", "--from", "1", "--to", "3", "--format", "csv"),
+        ("scan", "conjecture", "--k", "1", "--r", "0", "--to", "50"),
+    ])
+    def test_out_of_range_arguments(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and err.startswith("usage error:")
