@@ -7,7 +7,7 @@ and confirm every coefficient against a log-derivative recurrence that
 shares no code with the expansion.
 """
 
-from bkd import broken_diamond_spec, delta_oracle_logderiv, delta_table
+from bkd.etaseries import broken_diamond_spec, delta_oracle_logderiv, delta_table
 
 # the factor lists; note how k = 0 collapses to plain 2-colored partitions
 for k in (0, 1, 2):

@@ -6,8 +6,10 @@ fails exactly, and the failure sets below the known thresholds are part
 of the story.
 """
 
-from bkd import conjecture_threshold, delta_table, dlog_sign
+from bkd.etaseries import delta_table
 from bkd.inequalities import (
+    conjecture_threshold,
+    dlog_sign,
     jensen_threshold,
     logconcave_at,
     theta_monotone_at,

@@ -11,14 +11,16 @@ doubles the precision only while the margin straddles 0.
 
 from fractions import Fraction
 
-from bkd import bessel_i, i2_scaled_main, to_interval
 from bkd.asymptotic import (
     auto_prec,
+    bessel_i,
     bessel_remainder_margin,
     general_remainder_bound,
     general_remainder_terms,
+    i2_scaled_main,
     scaled_i2,
 )
+from bkd.intervals import to_interval
 
 # small arguments: enclosures tight enough to read off 30+ digits
 print("I_2(1)  =", bessel_i(2, 1, 160))

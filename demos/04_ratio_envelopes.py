@@ -6,15 +6,18 @@ ratio Theta(n) = delta(n-1) delta(n+1)/delta(n)^2 is bracketed both by
 closed-form polynomials in 1/x and by the Lambda g / Lambda G sandwich.
 """
 
-from bkd import delta_table, main_term, theta_exact, x_param
 from bkd.asymptotic import (
     envelope_sandwich_outcome,
     lambda_bounds_check,
+    main_term,
     main_term_sandwich,
     ratio_bounds,
     sandwich_check,
     tail_factors,
+    theta_exact,
+    x_param,
 )
+from bkd.etaseries import delta_table
 
 N = 6000
 tables = {k: delta_table(k, N) for k in (1, 2)}

@@ -8,14 +8,15 @@ Pi enters only through rational enclosures, so certificates stay exact.
 
 from fractions import Fraction
 
-from bkd import certify_positive_on_ray, sturm_count
 from bkd.asymptotic import theta_bound_tail_blocks
 from bkd.positivity import (
+    certify_positive_on_ray,
     domination_threshold,
     lemma_quadratic,
     lemma_uv_check,
     phi_poly,
     psi_poly,
+    sturm_count,
     tau_positivity_check,
 )
 

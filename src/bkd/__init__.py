@@ -9,59 +9,10 @@ monotonicity / iterated-difference checks.  The analytic side
 Bessel-type main term and its printed bounds so exact values can be
 confronted with analytic envelopes.  ``positivity`` certifies polynomial
 positivity on rays with exact rational arithmetic.
-"""
 
-from .asymptotic import (
-    alpha,
-    bessel_i,
-    bessel_remainder_check,
-    bessel_remainder_margin,
-    envelope_pair,
-    envelope_sandwich_outcome,
-    general_remainder_bound,
-    i2_scaled_main,
-    lambda_bounds_check,
-    lambda_exact,
-    main_term,
-    main_term_sandwich,
-    ratio_bounds,
-    sandwich_check,
-    tail_factors,
-    theta_bounds_check,
-    theta_exact,
-    x_param,
-)
-from .etaseries import (
-    EtaQuotientSpec,
-    PartitionTable,
-    broken_diamond_spec,
-    delta_oracle_logderiv,
-    delta_table,
-    expand_eta_quotient,
-)
-from .inequalities import (
-    conjecture_threshold,
-    dlog_sign,
-    jensen_hyperbolic,
-    jensen_threshold,
-    logconcave_at,
-    scan_check,
-    theta_monotone_at,
-    turan3_at,
-)
-from .intervals import DEFAULT_PREC, IntervalReal, pi_interval, to_interval
-from .positivity import (
-    PolyQ,
-    certify_positive_on_ray,
-    count_real_roots,
-    domination_threshold,
-    is_hyperbolic,
-    lemma_uv_check,
-    phi_poly,
-    psi_poly,
-    sturm_count,
-    tau_positivity_check,
-)
-from .report import CheckOutcome, Sign, VerificationReport
+Importing the package loads none of these modules; import names from the
+module that defines them.  Only the analytic side imports mpmath, so the
+exact commands of ``bkd.cli`` never load it.
+"""
 
 __version__ = "0.1.0"

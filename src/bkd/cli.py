@@ -31,7 +31,7 @@ import time
 import traceback
 from typing import Optional
 
-from . import asymptotic, inequalities
+from . import inequalities
 from .etaseries import PartitionTable, delta_table
 from .report import CheckOutcome, VerificationReport
 
@@ -204,7 +204,6 @@ def _verify_exact(args) -> int:
         lambda n: margin_fn_base(table, n),
         args.from_n,
         args.to,
-        workers=args.workers,
         collect_margins=args.margins,
     )
     return _finish_report(args, report)
@@ -221,7 +220,6 @@ def _verify_dlog(args) -> int:
         lambda n: flip * inequalities.dlog_sign(table, n, args.r).value,
         args.from_n,
         args.to,
-        workers=args.workers,
     )
     report.notes = "sign convention: (-1)^(r-1) D^r log delta > 0"
     return _finish_report(args, report)
@@ -237,7 +235,6 @@ def _verify_jensen(args) -> int:
         lambda n: 1 if inequalities.jensen_hyperbolic(table, args.d, n) else -1,
         args.from_n,
         args.to,
-        workers=args.workers,
     )
     return _finish_report(args, report)
 
@@ -245,6 +242,8 @@ def _verify_jensen(args) -> int:
 def _ratio_csv_rows(k: int, ns, table, prec: int, outcomes) -> str:
     """Per-n dump: exact theta as a rational, every analytic quantity as
     a decimal enclosure with its precision tag, plus the verdict."""
+    from . import asymptotic
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["n", "theta_exact", "theta_lo", "theta_hi",
@@ -265,6 +264,8 @@ def _ratio_csv_rows(k: int, ns, table, prec: int, outcomes) -> str:
 
 
 def _verify_interval_range(args) -> int:
+    from . import asymptotic
+
     if args.k not in (1, 2):
         raise UsageError("verify %s is stated for --k 1 or 2" % args.check)
     if args.from_n < 2:
@@ -307,6 +308,8 @@ def _verify_interval_range(args) -> int:
 
 
 def _parse_z_grid(spec: str) -> list[float]:
+    from . import asymptotic
+
     try:
         lo_s, hi_s, count_s = spec.split(":")
         lo, hi, count = float(lo_s), float(hi_s), int(count_s)
@@ -326,6 +329,8 @@ def _parse_z_grid(spec: str) -> list[float]:
 
 
 def _verify_bessel(args) -> int:
+    from . import asymptotic
+
     grid = _parse_z_grid(args.z_grid or "1484:10000:50")
     prec = _parse_prec(args.prec)
     t0 = time.perf_counter()
@@ -436,9 +441,7 @@ def _cmd_scan(args) -> int:
         raise UsageError("scan conjecture requires --r")
     table = load_table(args.k, args.to + args.r)
     t0 = time.perf_counter()
-    candidate, report = inequalities.conjecture_threshold(
-        table, args.r, args.to, workers=args.workers
-    )
+    candidate, report = inequalities.conjecture_threshold(table, args.r, args.to)
     obj = {
         "check": "conjecture-scan",
         "k": args.k,
@@ -468,7 +471,6 @@ def build_parser() -> _Parser:
         p.add_argument("--k", type=int, default=None)
         p.add_argument("--format", choices=("csv", "json", "text"), default="text")
         p.add_argument("--out", default=None)
-        p.add_argument("--workers", type=int, default=1)
 
     p_expand = sub.add_parser("expand", help="write a delta_k table")
     p_expand.add_argument("--k", type=int, required=True)
@@ -504,8 +506,6 @@ def build_parser() -> _Parser:
 def _validate(args) -> None:
     """Reject out-of-range numbers before any work starts, so that an
     exception raised later is an internal error, not a usage error."""
-    if getattr(args, "workers", 1) < 1:
-        raise UsageError("--workers must be >= 1")
     if getattr(args, "k", None) is not None and args.k < 0:
         raise UsageError("--k must be >= 0")
     if getattr(args, "n", None) is not None and args.n < 0:

@@ -2,9 +2,7 @@
 
 Every decision here is an arbitrary-precision integer comparison: no
 floating point enters, so outcomes are reproducible bit for bit.  The
-checks are pure functions over an immutable :class:`~bkd.etaseries.PartitionTable`,
-and range scans can be partitioned across workers without changing any
-report field except the timing.
+checks are pure functions over an immutable :class:`~bkd.etaseries.PartitionTable`.
 
 Conventions.  With a = table.coeffs and ratios
 Theta(n) = a[n-1] a[n+1] / a[n]^2, the difference operator D acts as
@@ -17,7 +15,6 @@ is pinned by a unit test on a four-term table.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from math import comb
 from typing import Callable, Optional
 
@@ -123,8 +120,10 @@ def jensen_coeffs(table: PartitionTable, d: int, n: int) -> list[int]:
 def jensen_hyperbolic(table: PartitionTable, d: int, n: int) -> bool:
     """True iff the degree-d shift-n Jensen polynomial has only real roots.
 
-    Decided by a Sturm-sequence real-root count over exact rationals,
-    with multiple roots handled through gcd reduction.
+    Decided over the integers by :func:`~bkd.positivity.is_hyperbolic`:
+    the signs of the leading coefficients of one reduced subresultant
+    chain of the polynomial and its derivative, with a Sturm/gcd
+    fallback when that chain has a zero or degree-gapped remainder.
     """
     return is_hyperbolic(jensen_coeffs(table, d, n))
 
@@ -133,56 +132,26 @@ def jensen_hyperbolic(table: PartitionTable, d: int, n: int) -> bool:
 # Range scans
 # ---------------------------------------------------------------------------
 
-def _scan_chunk(fn, lo, hi, collect_margins):
-    failures = []
-    margins = {} if collect_margins else None
-    for n in range(lo, hi + 1):
-        value = fn(n)
-        if collect_margins:
-            margins[n] = value
-        if value <= 0:
-            failures.append(n)
-    return failures, margins
-
-
 def scan_check(
     table: PartitionTable,
     check_name: str,
     margin_fn: Callable[[int], int],
     from_n: int,
     to_n: int,
-    workers: int = 1,
     collect_margins: bool = False,
 ) -> VerificationReport:
-    """Scan margin_fn over [from_n, to_n]; failures are n with margin <= 0.
-
-    With workers > 1 the range is split into contiguous chunks and merged
-    back in order of n, so the report is independent of the worker count.
-    """
+    """Scan margin_fn over [from_n, to_n]; failures are n with margin <= 0."""
     if from_n > to_n:
         raise ValueError("empty range: from %d to %d" % (from_n, to_n))
     t0 = time.perf_counter()
-    workers = max(1, min(workers, to_n - from_n + 1))
-    if workers == 1:
-        failures, margins = _scan_chunk(margin_fn, from_n, to_n, collect_margins)
-    else:
-        size = (to_n - from_n + 1 + workers - 1) // workers
-        chunks = [
-            (from_n + i * size, min(from_n + (i + 1) * size - 1, to_n))
-            for i in range(workers)
-            if from_n + i * size <= to_n
-        ]
-        failures = []
-        margins = {} if collect_margins else None
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                lambda c: _scan_chunk(margin_fn, c[0], c[1], collect_margins), chunks
-            )
-            for f, m in parts:
-                failures.extend(f)
-                if collect_margins:
-                    margins.update(m)
-        failures.sort()
+    failures = []
+    margins = {} if collect_margins else None
+    for n in range(from_n, to_n + 1):
+        value = margin_fn(n)
+        if collect_margins:
+            margins[n] = value
+        if value <= 0:
+            failures.append(n)
     report = VerificationReport(
         check_name=check_name,
         k=table.k,
@@ -197,7 +166,7 @@ def scan_check(
 
 
 def conjecture_threshold(
-    table: PartitionTable, r: int, to_n: int, workers: int = 1
+    table: PartitionTable, r: int, to_n: int
 ) -> tuple[Optional[int], VerificationReport]:
     """Empirical candidate for the least n* with (-1)^(r-1) D^r log a(n) > 0
     on all of [n*, to_n].
@@ -217,9 +186,7 @@ def conjecture_threshold(
     def margin(n: int) -> int:
         return sign_flip * dlog_sign(table, n, r).value
 
-    report = scan_check(
-        table, "dlog-alternating-r%d" % r, margin, 1, to_n, workers=workers
-    )
+    report = scan_check(table, "dlog-alternating-r%d" % r, margin, 1, to_n)
     if not report.failures:
         return 1, report
     if report.failures[-1] == to_n:
@@ -229,7 +196,7 @@ def conjecture_threshold(
 
 
 def jensen_threshold(
-    table: PartitionTable, d: int, to_n: int, workers: int = 1
+    table: PartitionTable, d: int, to_n: int
 ) -> tuple[Optional[int], VerificationReport]:
     """Least shift n* such that the degree-d Jensen polynomial is
     hyperbolic for every n in [n*, to_n] (scanning from n = 0)."""
@@ -239,7 +206,7 @@ def jensen_threshold(
     def margin(n: int) -> int:
         return 1 if jensen_hyperbolic(table, d, n) else -1
 
-    report = scan_check(table, "jensen-d%d" % d, margin, 0, to_n, workers=workers)
+    report = scan_check(table, "jensen-d%d" % d, margin, 0, to_n)
     if not report.failures:
         return 0, report
     if report.failures[-1] == to_n:

@@ -3,13 +3,16 @@
 Everything here is rational arithmetic: polynomials carry exact
 ``Fraction`` coefficients, optionally as rational combinations of powers
 of pi.  Transcendental constants enter only through rational enclosure
-pairs (lo, hi), and every decision either holds for the whole enclosure
-or is reported as :class:`Inconclusive` so the caller can tighten it.
+pairs (lo, hi) (mpmath is imported only when :func:`pi_bounds` runs), and
+every decision either holds for the whole enclosure or is reported as
+:class:`Inconclusive` so the caller can tighten it.
 
 Certification methods:
 
 * Sturm counts: zero real roots beyond a threshold plus a positive value
   at the threshold certify positivity on the ray.
+* Hyperbolicity: the leading-coefficient signs of one reduced subresultant
+  chain of p and p', with a Sturm/gcd fallback (:func:`is_hyperbolic`).
 * Coefficient domination: every low-order coefficient is bounded by a
   pivot term, and the few leading terms beat ``count`` copies of the
   pivot from some threshold on; the threshold is certified by a Taylor
@@ -23,8 +26,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, isqrt
 from typing import Iterable, Optional, Sequence, Union
-
-from mpmath.libmp import mpf_pi, round_ceiling, round_floor, to_rational
 
 __all__ = [
     "Inconclusive",
@@ -58,12 +59,16 @@ class Inconclusive(Exception):
 # ---------------------------------------------------------------------------
 
 def _raw_to_fraction(raw) -> Fraction:
+    from mpmath.libmp import to_rational
+
     p, q = to_rational(raw)
     return Fraction(int(p), int(q))  # gmpy2 mpz must not leak into Fraction
 
 
 def pi_bounds(bits: int = 256) -> QPair:
     """Rational pair (lo, hi) with lo < pi < hi and ~``bits`` agreement."""
+    from mpmath.libmp import mpf_pi, round_ceiling, round_floor
+
     lo = _raw_to_fraction(mpf_pi(bits, round_floor))
     hi = _raw_to_fraction(mpf_pi(bits, round_ceiling))
     if lo == hi:  # directed rounding landed on the same float; widen
@@ -389,17 +394,23 @@ def _squarefree_part(p: list[int]) -> list[int]:
     return _exact_div(p, g)
 
 
-def _count_int_roots(p: list[int], lo: Optional[Fraction], hi: Optional[Fraction]) -> int:
-    """Distinct real roots of the integer polynomial p in (lo, hi]."""
-    if not any(p):
-        raise ValueError("zero polynomial has no root count")
-    p = _squarefree_part(p)
+def _count_squarefree_roots(
+    p: list[int], lo: Optional[Fraction], hi: Optional[Fraction]
+) -> int:
+    """Real roots of the squarefree integer polynomial p in (lo, hi]."""
     if len(p) <= 1:
         return 0
     chain = _sturm_chain(p)
     va = _variations(chain, lo, at=0 if lo is not None else -1)
     vb = _variations(chain, hi, at=0 if hi is not None else +1)
     return va - vb
+
+
+def _count_int_roots(p: list[int], lo: Optional[Fraction], hi: Optional[Fraction]) -> int:
+    """Distinct real roots of the integer polynomial p in (lo, hi]."""
+    if not any(p):
+        raise ValueError("zero polynomial has no root count")
+    return _count_squarefree_roots(_squarefree_part(p), lo, hi)
 
 
 def count_real_roots(
@@ -419,22 +430,88 @@ def count_real_roots(
     )
 
 
+def _prem_step(f: list[int], g: list[int]) -> list[int]:
+    """lc(g)^2 f - q g, the pseudo-remainder of f by g when deg f = deg g + 1.
+
+    The degree-1 quotient is eliminated one term at a time; the result
+    has degree below deg g and may carry zero leading coefficients.
+    """
+    lg = g[-1]
+    r = f
+    for sh in (1, 0):
+        lr = r[-1]
+        r = [c * lg for c in r[:-1]]
+        for i, c in enumerate(g[:-1]):
+            r[sh + i] -= lr * c
+    return r
+
+
+def _regular_chain_verdict(p: list[int]) -> Optional[bool]:
+    """Hyperbolicity of p from its reduced subresultant chain, or None.
+
+    The chain is F0 = p, F1 = p', F(i+1) = -prem(F(i-1), F(i)) / lc(F(i-1))^2
+    (no division at the first step).  While the degrees fall by one, the
+    prem scaling is lc(F(i))^2 > 0 and the divisions are exact
+    (Brown & Traub 1971), so every F is a positive multiple of the
+    Sturm remainder.  A regular chain (degrees d, d-1, ..., 0) makes p
+    squarefree, and p is hyperbolic iff every leading coefficient has the
+    sign of lc(p).  None means a zero or degree-gapped remainder: p may
+    have a repeated root, and the caller decides with the Sturm/gcd path.
+    """
+    positive = p[-1] > 0
+    f, g = p, _deriv(p)
+    div = 1
+    while len(g) > 1:
+        h = []
+        for c in _prem_step(f, g):
+            c, rem = divmod(-c, div)
+            if rem:
+                raise AssertionError("subresultant division by lc^2 is inexact")
+            h.append(c)
+        _trim(h)
+        if len(h) != len(g) - 1:
+            return None
+        if (h[-1] > 0) != positive:
+            # Over a regular prefix the chain is p's Sturm sequence up to
+            # positive factors.  The Sturm sequence of p has at most m + 1
+            # members when p has m distinct roots, and a sign change among
+            # the leading coefficients makes V(+oo) >= 1, so at most m - 1
+            # of those roots are real: p is not hyperbolic, whatever the
+            # rest of the chain looks like.
+            return False
+        div = g[-1] ** 2
+        f, g = g, h
+    return True
+
+
+def _sturm_hyperbolic(p: list[int]) -> bool:
+    """Hyperbolicity of the primitive integer polynomial p from Sturm
+    counts of its squarefree part and a recursion on gcd(p, p')."""
+    g = _poly_gcd(p, _deriv(p))
+    h = p if len(g) <= 1 else _exact_div(p, g)
+    if _count_squarefree_roots(h, None, None) != len(h) - 1:
+        return False
+    return len(g) <= 1 or is_hyperbolic(g)
+
+
 def is_hyperbolic(coeffs: Sequence[Rational]) -> bool:
-    """True iff all roots are real, counted with multiplicity."""
-    p = _trim(_clear_denominators([Fraction(c) for c in coeffs]))
+    """True iff all roots are real, counted with multiplicity.
+
+    Decided from one reduced subresultant chain of p and p' when that
+    chain is regular, which needs no gcd.  A zero or degree-gapped
+    remainder (a repeated root, or a gap that only complex roots cause)
+    falls back to Sturm counts of the squarefree part plus a recursion
+    on gcd(p, p').
+    """
+    if all(type(c) is int for c in coeffs):
+        p = _trim(list(coeffs))
+    else:
+        p = _trim(_clear_denominators([Fraction(c) for c in coeffs]))
     if len(p) <= 2:  # constants and linear polynomials
         return True
     p = _prim(p)
-    d = len(p) - 1
-    if _count_int_roots(p, None, None) == d:
-        return True
-    g = _poly_gcd(p, _deriv(p))
-    if len(g) <= 1:
-        return False  # squarefree with a genuinely complex root
-    h = _exact_div(p, g)
-    if _count_int_roots(h, None, None) != len(h) - 1:
-        return False
-    return is_hyperbolic(g)
+    verdict = _regular_chain_verdict(p)
+    return _sturm_hyperbolic(p) if verdict is None else verdict
 
 
 def sturm_count(

@@ -59,8 +59,8 @@ class TestSizeParam:
     def test_small_value(self):
         x = x_param(1, 1, 192)
         # pi * sqrt(20) / 6, computed independently at higher precision
-        mp.mp.prec = 320
-        ref = mp.pi * mp.sqrt(20) / 6
+        with mp.workprec(320):
+            ref = mp.pi * mp.sqrt(20) / 6
         assert x.lo < ref < x.hi
         assert abs(float(x) - 2.3416049) < 1e-6
 
@@ -113,8 +113,8 @@ class TestBessel:
         # mpmath's own besseli is an independent implementation; its value
         # (computed at much higher precision) must land in the enclosure
         enc = bessel_i(nu, z, 128)
-        mp.mp.prec = 256
-        ref = mp.besseli(nu, z)
+        with mp.workprec(256):
+            ref = mp.besseli(nu, z)
         assert enc.lo <= ref <= enc.hi
 
     @pytest.mark.parametrize("prec", [128, 384])

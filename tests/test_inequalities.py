@@ -11,7 +11,6 @@ from bkd.inequalities import (
     scan_check,
     theta_monotone_at,
     turan3_at,
-    turan3_margin,
 )
 from bkd.report import Sign
 
@@ -149,18 +148,6 @@ class TestJensen:
 
 
 class TestScan:
-    def test_worker_count_does_not_change_report(self, table1):
-        serial = scan_check(
-            table1, "turan3", lambda n: turan3_margin(table1, n), 1, 400, workers=1
-        )
-        parallel = scan_check(
-            table1, "turan3", lambda n: turan3_margin(table1, n), 1, 400, workers=4
-        )
-        assert serial.failures == parallel.failures == [2, 4]
-        a, b = serial.to_json_obj(), parallel.to_json_obj()
-        a.pop("elapsed_ms"), b.pop("elapsed_ms")
-        assert a == b
-
     def test_margins_collected(self, table1):
         report = scan_check(
             table1,

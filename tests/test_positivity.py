@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bkd import positivity
+from bkd.inequalities import jensen_coeffs
 from bkd.positivity import (
     DominationCertificate,
     Inconclusive,
@@ -166,6 +168,80 @@ class TestHyperbolic:
     def test_low_degree(self):
         assert is_hyperbolic([5])
         assert is_hyperbolic([1, 7])
+
+
+def _sturm_verdict(coeffs):
+    """The retained Sturm/gcd path on its own."""
+    return positivity._sturm_hyperbolic(positivity._prim(list(coeffs)))
+
+
+# (x+1)^2 (x+2) (x+3), (x+1)^2 (x+2), x^4 + 1, x^3
+FALLBACK_POLYS = [
+    ([6, 17, 17, 7, 1], True),
+    ([2, 5, 4, 1], True),
+    ([1, 0, 0, 0, 1], False),
+    ([0, 0, 0, 1], True),
+]
+
+
+class TestSubresultantChain:
+    """The regular-chain decision against the retained Sturm/gcd path."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_agrees_with_sturm_path_on_jensen_polynomials(self, table1, table2, d):
+        # the acceptance range of criterion 12: n = 0..5000 for k = 1, 2
+        for table in (table1, table2):
+            for n in range(5001):
+                coeffs = jensen_coeffs(table, d, n)
+                expected = _sturm_verdict(coeffs)
+                chain = positivity._regular_chain_verdict(positivity._prim(coeffs))
+                assert chain in (None, expected), (table.k, d, n)
+                assert is_hyperbolic(coeffs) == expected, (table.k, d, n)
+
+    @pytest.mark.parametrize("coeffs,expected", FALLBACK_POLYS)
+    def test_irregular_chain_falls_back(self, coeffs, expected, monkeypatch):
+        assert positivity._regular_chain_verdict(coeffs) is None
+        calls = []
+        sturm = positivity._sturm_hyperbolic
+
+        def spy(p):
+            calls.append(p)
+            return sturm(p)
+
+        monkeypatch.setattr(positivity, "_sturm_hyperbolic", spy)
+        assert is_hyperbolic(coeffs) == expected
+        assert calls and calls[0] == coeffs
+
+    def test_regular_path_needs_no_gcd(self, table1, monkeypatch):
+        cases = [jensen_coeffs(table1, d, n) for d in (2, 3, 4, 5) for n in range(0, 400, 3)]
+        # the last one, (x-1)^2 (x^2+1), has a double root, but a leading
+        # coefficient of the wrong sign decides it before the chain ends
+        cases += [[6, -11, 6, -1], [1, 0, 1], [-1, 0, 3, 0, -1], [1, -2, 2, -2, 1]]
+        expected = [_sturm_verdict(c) for c in cases]
+
+        def unreachable(*args):
+            raise RuntimeError("the Sturm/gcd path ran on a regular chain")
+
+        for name in ("_poly_gcd", "_exact_div", "_sturm_chain", "_sturm_hyperbolic"):
+            monkeypatch.setattr(positivity, name, unreachable)
+        assert [is_hyperbolic(c) for c in cases] == expected
+        assert not all(expected)  # both verdicts occur
+
+    def test_inexact_division_is_an_internal_error(self, monkeypatch):
+        prem = positivity._prem_step
+        monkeypatch.setattr(positivity, "_prem_step",
+                            lambda f, g: [c + 1 for c in prem(f, g)])
+        with pytest.raises(AssertionError):
+            is_hyperbolic([6, 11, 6, 1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-12, 12), min_size=3, max_size=8).filter(lambda c: c[-1]))
+    def test_chain_never_contradicts_sturm_path(self, coeffs):
+        expected = _sturm_verdict(coeffs)
+        chain = positivity._regular_chain_verdict(positivity._prim(coeffs))
+        assert chain in (None, expected)
+        assert is_hyperbolic(coeffs) == expected
+        assert is_hyperbolic([Fraction(c, 7) for c in coeffs]) == expected
 
 
 class TestRayCertificates:
