@@ -19,25 +19,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial, log2
+from math import ceil, factorial, lgamma, log, log2, sqrt
 from typing import Optional, Union
 
 import mpmath as mp
-from mpmath.libmp import (
-    fone,
-    from_int,
-    fzero,
-    mpf_add,
-    mpf_div,
-    mpf_lt,
-    mpf_mul,
-    mpf_pos,
-    mpf_pow_int,
-    mpf_shift,
-    mpf_sub,
-    round_ceiling,
-    round_floor,
-)
+from mpmath.libmp import from_man_exp, round_ceiling, round_floor, to_float
 
 from .etaseries import PartitionTable
 from .intervals import (
@@ -119,14 +105,56 @@ def x_param(k: int, n: int, prec: int = DEFAULT_PREC) -> IntervalReal:
 # Bessel function by ascending series
 # ---------------------------------------------------------------------------
 
-def _series_head(nu: int, z: mp.mpf, prec: int, rnd: str) -> tuple:
-    """((z/2)^2, (z/2)^nu / nu!) as raw mpf values, each step rounded
-    in direction ``rnd``."""
-    half = mpf_shift(mpf_pos(z._mpf_, prec, rnd), -1)
-    term = mpf_pow_int(half, nu, prec, rnd)
-    for m in range(2, nu + 1):
-        term = mpf_div(term, from_int(m), prec, rnd)
-    return mpf_mul(half, half, prec, rnd), term
+def _series_sum(nu: int, x: tuple, w: int, limit: int, up: bool) -> tuple[int, int]:
+    """Directed sum of the ascending series of I_nu at the raw mpf x >= 0.
+
+    Returns (S, F) with S * 2^F <= I_nu(x) when ``up`` is False and
+    S * 2^F >= I_nu(x) when it is True.  Terms carry w-bit mantissas;
+    2^F sits w bits below the largest term.
+    """
+    man, exp = int(x[1]), x[2]
+    if not man:
+        return int(nu == 0), 0
+    # (x/2)^2 = qm 2^qe exactly, qm shifted so that qm > m (m + nu) for
+    # every m < limit: then T qm // (m (m + nu)) never drops below w bits
+    qm, qe = man * man, 2 * exp - 2
+    shift = max(0, (limit * (limit + nu)).bit_length() + 1 - qm.bit_length())
+    qm, qe = qm << shift, qe - shift
+    # 2 (x/2)^2 < d  <=>  two_q < d * scale
+    two_q, scale = (qm << qe + 1, 1) if qe >= -1 else (qm, 1 << -qe - 1)
+    # the upper sum runs on negated values, so that // and >>, which
+    # round towards -infinity, round its magnitudes up
+    sign = -1 if up else 1
+    # first term (x/2)^nu / nu!, exponent e, then w bits kept
+    num, fact = man**nu, factorial(nu)
+    lift = max(0, w + fact.bit_length() - num.bit_length())
+    t = (sign * num << lift) // fact
+    excess = t.bit_length() - w
+    t >>= excess
+    e = nu * (exp - 1) - lift + excess
+    # F = log2 of the largest term (at m* ~ (sqrt(nu^2 + x^2) - nu) / 2,
+    # a float estimate) minus w; it only affects tightness
+    ln_half = log(man) + (exp - 1) * log(2)
+    m_peak = int((sqrt(nu * nu + to_float(x) ** 2) - nu) / 2)
+    peak = ((2 * m_peak + nu) * ln_half - lgamma(m_peak + 1)
+            - lgamma(m_peak + nu + 1)) / log(2)
+    f = int(peak) - w
+    k = e - f  # the current term is t * 2^(f + k)
+    s = t << k if k >= 0 else t >> -k
+    decaying = False
+    for m in range(1, limit):
+        t = t * qm // (m * (m + nu))
+        k += qe
+        excess = t.bit_length() - w
+        t >>= excess
+        k += excess
+        s += t << k if k >= 0 else t >> -k
+        # the term ratio only falls with m, so once below 1/2 it stays
+        # there, and the tail after a term is at most that term
+        decaying = decaying or two_q < (m + 1) * (m + nu + 1) * scale
+        if decaying and k + t.bit_length() <= 0:
+            return sign * s + up, f
+    raise RuntimeError("bessel series failed to converge within %d terms" % limit)
 
 
 def bessel_i(nu: int, z, prec: int = DEFAULT_PREC) -> IntervalReal:
@@ -136,47 +164,37 @@ def bessel_i(nu: int, z, prec: int = DEFAULT_PREC) -> IntervalReal:
 
     Every term is positive and increasing in z, so the series is summed
     twice with directed rounding (Brent-Zimmermann, *Modern Computer
-    Arithmetic*, ch. 4): from z.lo with every operation rounded down,
-    which gives a lower bound at any truncation, and from z.hi with every
-    operation rounded up.  Once the term ratio (z/2)^2 / ((m+1)(m+nu+1))
-    is below 1/2 and the term is negligible at working precision, the
-    upper sum adds the geometric bound term * ratio / (1 - ratio) on the
-    tail.  Rigorous for the whole range used here (z up to ~10^4); the
-    series length is about 3z/2 + prec terms.
+    Arithmetic*, ch. 4): from z.lo rounding every step down, which gives
+    a lower bound at any truncation, and from z.hi rounding every step up.
+
+    The sums run in Python integers.  A term is a mantissa T of
+    w = prec + guard bits and an exponent; guard is log2 of the term
+    count plus 6 bits, which covers the rounding of every term.  Since
+    the mpf mantissa of z is an integer, Q = (z/2)^2 is exact, and the
+    next term is T Q // (m (m + nu)), renormalised to w bits.  The terms
+    add into one fixed-point integer whose unit 2^F sits w bits below
+    the largest term.  Once 2Q < (m+1)(m+nu+1), an exact integer test,
+    every later term ratio r is below 1/2, so the tail after a term is
+    at most term * r/(1 - r) <= term; when that term is below 2^F too,
+    the upper sum adds one unit of F and stops.  Each sum becomes an mpf
+    at ``prec`` bits, rounded down for the lower end and up for the
+    upper.  F and guard set the tightness only, never the direction of
+    any rounding.  Rigorous for the whole range used here (z up to
+    ~10^4).  For large z the ratio test binds: the sums run to
+    m ~ z/sqrt(2) terms (7071 at z = 10^4).
     """
     if nu < 0:
         raise ValueError("nu must be a nonnegative integer")
     z_iv = to_interval(z, prec)
     if z_iv.lo < 0:
         raise ValueError("bessel_i requires z >= 0")
-    q_lo, t_lo = _series_head(nu, z_iv.lo, prec, round_floor)
-    q_hi, t_hi = _series_head(nu, z_iv.hi, prec, round_ceiling)
-    s_lo, s_hi = t_lo, t_hi
-    shift = -(prec + 16)
-    decaying = False
-    m = 0
-    limit = 8 * (int(float(z_iv.hi)) + prec + nu + 16)
-    while m < limit:
-        m += 1
-        d = from_int(m * (m + nu))
-        t_lo = mpf_div(mpf_mul(t_lo, q_lo, prec, round_floor), d, prec, round_floor)
-        t_hi = mpf_div(mpf_mul(t_hi, q_hi, prec, round_ceiling), d, prec, round_ceiling)
-        s_lo = mpf_add(s_lo, t_lo, prec, round_floor)
-        s_hi = mpf_add(s_hi, t_hi, prec, round_ceiling)
-        # the ratio only falls with m, so once below 1/2 it stays there
-        d_next = from_int((m + 1) * (m + nu + 1))
-        decaying = decaying or mpf_lt(mpf_shift(q_hi, 1), d_next)
-        if decaying and (t_hi == fzero or mpf_lt(t_hi, mpf_shift(s_lo, shift))):
-            ratio = mpf_div(q_hi, d_next, prec, round_ceiling)
-            tail = mpf_div(
-                mpf_mul(t_hi, ratio, prec, round_ceiling),
-                mpf_sub(fone, ratio, prec, round_floor),
-                prec,
-                round_ceiling,
-            )
-            s_hi = mpf_add(s_hi, tail, prec, round_ceiling)
-            return IntervalReal(lo=mp.make_mpf(s_lo), hi=mp.make_mpf(s_hi), prec=prec)
-    raise RuntimeError("bessel series failed to converge within %d terms" % limit)
+    terms = int(float(z_iv.hi)) + prec + nu + 16
+    w = prec + terms.bit_length() + 6
+    lo = from_man_exp(*_series_sum(nu, z_iv.lo._mpf_, w, 8 * terms, False),
+                      prec, round_floor)
+    hi = from_man_exp(*_series_sum(nu, z_iv.hi._mpf_, w, 8 * terms, True),
+                      prec, round_ceiling)
+    return IntervalReal(lo=mp.make_mpf(lo), hi=mp.make_mpf(hi), prec=prec)
 
 
 def i2_scaled_main(z, prec: Optional[int] = None) -> IntervalReal:
@@ -212,8 +230,11 @@ def auto_prec(z) -> int:
     I_2(z) e^{-z} sqrt(2 pi z) is O(1): multiplying by e^{-z} cancels
     nothing, because the floating-point exponent absorbs the magnitude of
     I_2(z).  The margin 73/z^6 - |err| is about 72/z^6, so it needs an
-    absolute accuracy well below z^-6 on an O(1) quantity (6 log2 z bits)
-    plus guard bits for the rounding of about 3z/2 positive series terms.
+    absolute accuracy well below z^-6 on an O(1) quantity (6 log2 z bits).
+    The other 64 bits are headroom for the handful of outward roundings
+    in the product and the subtraction; the series itself needs none of
+    them, because :func:`bessel_i` sums it with its own guard bits (log2
+    of the term count plus 6) and rounds the sum to prec bits once.
     At z = 10^4 this is 144 bits.
     """
     z_hi = float(to_interval(z, 64).hi)
@@ -700,7 +721,8 @@ def theta_bound_tail_blocks(k: int, bits: int = 192) -> dict:
 
 @dataclass(frozen=True)
 class SandwichResult:
-    """Outcome of one Lambda g <= Theta <= Lambda G comparison."""
+    """Outcome of one Lambda g <= Theta <= Lambda G comparison, with the
+    enclosures it compared (None below the validity threshold)."""
 
     k: int
     n: int
@@ -708,6 +730,8 @@ class SandwichResult:
     theta: Optional[Fraction]
     lower: Optional[IntervalReal]
     upper: Optional[IntervalReal]
+    g: Optional[IntervalReal]
+    big_g: Optional[IntervalReal]
     prec: int
 
     def to_json_obj(self) -> dict:
@@ -738,7 +762,7 @@ def sandwich_check(
     x = x_param(k, n, prec)
     if x.lo_fraction() < X_MAIN_VALID:
         return SandwichResult(k, n, CheckOutcome.HYPOTHESIS_NOT_MET,
-                              None, None, None, prec)
+                              None, None, None, None, None, prec)
     ctx = ctx_for(prec)
     lam = unwrap(lambda_exact(k, n, prec), ctx)
     g, big_g = tail_factors(k, n, prec)
@@ -751,4 +775,4 @@ def sandwich_check(
         outcome = CheckOutcome.FAIL
     else:
         outcome = CheckOutcome.INCONCLUSIVE
-    return SandwichResult(k, n, outcome, th, lower, upper, prec)
+    return SandwichResult(k, n, outcome, th, lower, upper, g, big_g, prec)

@@ -28,7 +28,6 @@ import os
 import sys
 import tempfile
 import time
-import traceback
 from typing import Optional
 
 from . import inequalities
@@ -239,18 +238,22 @@ def _verify_jensen(args) -> int:
     return _finish_report(args, report)
 
 
-def _ratio_csv_rows(k: int, ns, table, prec: int, outcomes) -> str:
+def _ratio_csv_rows(k: int, table, prec: int, rows) -> str:
     """Per-n dump: exact theta as a rational, every analytic quantity as
-    a decimal enclosure with its precision tag, plus the verdict."""
+    a decimal enclosure with its precision tag, plus the verdict.
+
+    ``rows`` holds (n, outcome, factors); factors is the (g, G) pair the
+    check already computed, or None, in which case it is computed here.
+    """
     from . import asymptotic
 
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["n", "theta_exact", "theta_lo", "theta_hi",
                 "lambda_lo", "lambda_hi", "g", "G", "verdict"])
-    for n, outcome in zip(ns, outcomes):
+    for n, outcome, factors in rows:
         rb = asymptotic.ratio_bounds(k, n, prec)
-        g, big_g = asymptotic.tail_factors(k, n, prec)
+        g, big_g = factors or asymptotic.tail_factors(k, n, prec)
         th = asymptotic.theta_exact(table, n)
         w.writerow([
             n,
@@ -275,14 +278,17 @@ def _verify_interval_range(args) -> int:
     table = load_table(args.k, args.to + 1)
     t0 = time.perf_counter()
     failures, inconclusive, skipped = [], [], []
-    ns = list(range(args.from_n, args.to + 1))
-    outcomes = []
-    for n in ns:
+    rows = []
+    for n in range(args.from_n, args.to + 1):
+        factors = None
         if args.check == "sandwich":
-            outcome = asymptotic.sandwich_check(args.k, n, table, prec).outcome
+            result = asymptotic.sandwich_check(args.k, n, table, prec)
+            outcome = result.outcome
+            if result.g is not None:
+                factors = result.g, result.big_g
         else:
             outcome = asymptotic.theta_bounds_check(args.k, n, table, prec)
-        outcomes.append(outcome)
+        rows.append((n, outcome, factors))
         if outcome is CheckOutcome.FAIL:
             failures.append(n)
         elif outcome is CheckOutcome.INCONCLUSIVE:
@@ -298,7 +304,7 @@ def _verify_interval_range(args) -> int:
         runtime_ms=int((time.perf_counter() - t0) * 1000),
     )
     if args.format == "csv":
-        _emit(_ratio_csv_rows(args.k, ns, table, prec, outcomes), args.out)
+        _emit(_ratio_csv_rows(args.k, table, prec, rows), args.out)
         if failures:
             return EXIT_COUNTEREXAMPLE
         return EXIT_INCONCLUSIVE if inconclusive else EXIT_PASS
@@ -530,6 +536,8 @@ def main(argv=None) -> int:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except Exception:
+        import traceback
+
         print("internal error:", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL

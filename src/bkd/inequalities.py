@@ -19,7 +19,6 @@ from math import comb
 from typing import Callable, Optional
 
 from .etaseries import PartitionTable
-from .positivity import is_hyperbolic
 from .report import Sign, VerificationReport
 
 __all__ = [
@@ -125,6 +124,8 @@ def jensen_hyperbolic(table: PartitionTable, d: int, n: int) -> bool:
     chain of the polynomial and its derivative, with a Sturm/gcd
     fallback when that chain has a zero or degree-gapped remainder.
     """
+    from .positivity import is_hyperbolic  # only Jensen scans load positivity
+
     return is_hyperbolic(jensen_coeffs(table, d, n))
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import mpmath as mp
 import pytest
@@ -83,6 +84,19 @@ class TestSizeParam:
             x_param(1, 0)
 
 
+KERNEL_PRECS = [64, 128, 384, 1024]
+KERNEL_NUS = [0, 1, 2, 5]
+# arguments that are exact at every precision above (dyadic, <= 53 bits)
+DYADIC_Z = [0, Fraction(1, 2**40), 0.5, 7, 1483.2, 10**4, 2 * 10**4]
+
+
+def besseli_ref(nu: int, z, prec: int) -> mp.mpf:
+    """mpmath's own I_nu (an independent algorithm) at 2 prec + 64 bits,
+    and at least 512; ``z`` may be a callable evaluated at that precision."""
+    with mp.workprec(max(512, 2 * prec + 64)):
+        return mp.besseli(nu, z() if callable(z) else z)
+
+
 class TestBessel:
     def test_zero_argument(self):
         assert float(bessel_i(2, 0, 96)) == 0.0
@@ -117,22 +131,73 @@ class TestBessel:
             ref = mp.besseli(nu, z)
         assert enc.lo <= ref <= enc.hi
 
-    @pytest.mark.parametrize("prec", [128, 384])
-    @pytest.mark.parametrize("nu", [0, 1, 2, 5])
+    @pytest.mark.parametrize("prec", KERNEL_PRECS)
+    @pytest.mark.parametrize("nu", KERNEL_NUS)
     def test_contains_library_value_at_large_z(self, nu, prec):
         # a dyadic z = 10^4 and a non-dyadic enclosure z = x_1(8180) ~ 232
         # (sized like the main-term arguments); mpmath's besseli of the
-        # exact argument, at 512 bits, must lie inside
+        # exact argument must lie inside
         x = x_param(1, 8180, prec)
         assert x.lo < x.hi and 231 < float(x) < 233
-        with mp.workprec(512):
-            for z_enc, z_exact in (
-                (10**4, mp.mpf(10**4)),
-                (x, mp.pi * mp.sqrt(24 * 8180 - 4) / 6),
-            ):
-                enc = bessel_i(nu, z_enc, prec)
-                assert enc.lo <= mp.besseli(nu, z_exact) <= enc.hi
-                assert enc.width <= enc.hi * mp.mpf(2) ** (24 - prec)
+        for z_enc, z_exact in (
+            (10**4, 10**4),
+            (x, lambda: mp.pi * mp.sqrt(24 * 8180 - 4) / 6),
+        ):
+            enc = bessel_i(nu, z_enc, prec)
+            assert enc.lo <= besseli_ref(nu, z_exact, prec) <= enc.hi
+            lo, hi = enc.lo_fraction(), enc.hi_fraction()
+            assert hi - lo <= hi * Fraction(2) ** (24 - prec)
+
+
+class TestBesselKernel:
+    @pytest.mark.parametrize("prec", KERNEL_PRECS)
+    @pytest.mark.parametrize("nu", KERNEL_NUS)
+    def test_dyadic_arguments_contained_and_tight(self, nu, prec):
+        for z in DYADIC_Z:
+            z_iv = to_interval(z, prec)
+            assert z_iv.lo == z_iv.hi, z
+            enc = bessel_i(nu, z, prec)
+            assert enc.lo <= besseli_ref(nu, z_iv.lo, prec) <= enc.hi, z
+            lo, hi = enc.lo_fraction(), enc.hi_fraction()
+            assert hi - lo <= hi * Fraction(2) ** (4 - prec), z
+
+    @pytest.mark.parametrize("prec", KERNEL_PRECS)
+    @pytest.mark.parametrize("nu", KERNEL_NUS)
+    def test_wide_enclosure(self, nu, prec):
+        enc = bessel_i(nu, (100, 101), prec)
+        for z in (100, 101):
+            assert enc.lo <= besseli_ref(nu, z, prec) <= enc.hi
+
+    @pytest.mark.parametrize("prec", [64, 384])
+    @pytest.mark.parametrize("nu", [0, 2, 5])
+    @pytest.mark.parametrize("z", [Fraction(1, 2), 7, 100])
+    def test_raw_sums_bracket_exact_series(self, z, nu, prec):
+        # the integer sums before the final rounding to prec bits, against
+        # exact rational partial sums P <= I_nu(z) <= P + (last term)
+        half = Fraction(z) / 2
+        term = half**nu / factorial(nu)
+        partial, m = term, 0
+        while not (2 * half**2 < (m + 1) * (m + nu + 1) and term < partial / 2 ** (3 * prec)):
+            m += 1
+            term = term * half**2 / (m * (m + nu))
+            partial += term
+        z_mpf = to_interval(z, prec).lo._mpf_
+        w, limit = prec + 20, 8 * (prec + 200)
+        s_lo, f_lo = bkd.asymptotic._series_sum(nu, z_mpf, w, limit, False)
+        s_hi, f_hi = bkd.asymptotic._series_sum(nu, z_mpf, w, limit, True)
+        assert s_lo * Fraction(2) ** f_lo <= partial
+        assert partial + term <= s_hi * Fraction(2) ** f_hi
+        assert s_hi - s_lo < 2**12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nu=st.integers(min_value=0, max_value=5),
+        z=st.floats(min_value=0, max_value=2 * 10**4),
+        prec=st.integers(min_value=64, max_value=384),
+    )
+    def test_contains_library_value(self, nu, z, prec):
+        enc = bessel_i(nu, z, prec)
+        assert enc.lo <= besseli_ref(nu, mp.mpf(z), prec) <= enc.hi
 
 
 class TestScaledMain:
@@ -357,6 +422,48 @@ class TestSandwich:
             sandwich_check(3, 100, t)
         with pytest.raises(ValueError):
             main_term_sandwich(3, 100, t)
+
+
+class TestPrecisionNeverFlips:
+    """A lower precision may leave an interval verdict INCONCLUSIVE; it
+    must never turn the 384-bit PASS into FAIL or FAIL into PASS.  The
+    drawn n straddle each hypothesis gate."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        k=st.sampled_from([1, 2]),
+        n=st.integers(min_value=3500, max_value=3600),
+        prec=st.integers(min_value=64, max_value=384),
+    )
+    def test_sandwich_check(self, sandwich_tables, k, n, prec):
+        table = sandwich_tables[k]
+        verdict = sandwich_check(k, n, table, 384).outcome
+        low = sandwich_check(k, n, table, prec).outcome
+        assert low in (verdict, CheckOutcome.INCONCLUSIVE)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        k=st.sampled_from([1, 2]),
+        n=st.integers(min_value=3500, max_value=3600),
+        prec=st.integers(min_value=64, max_value=384),
+    )
+    def test_main_term_sandwich(self, sandwich_tables, k, n, prec):
+        table = sandwich_tables[k]
+        verdict = main_term_sandwich(k, n, table, 384)
+        low = main_term_sandwich(k, n, table, prec)
+        assert low in (verdict, CheckOutcome.INCONCLUSIVE)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        k=st.sampled_from([1, 2]),
+        n=st.integers(min_value=15070, max_value=15200),
+        prec=st.integers(min_value=64, max_value=384),
+    )
+    def test_theta_bounds_check(self, theta_tables, k, n, prec):
+        table = theta_tables[k]
+        verdict = theta_bounds_check(k, n, table, 384)
+        low = theta_bounds_check(k, n, table, prec)
+        assert low in (verdict, CheckOutcome.INCONCLUSIVE)
 
 
 class TestThetaExact:

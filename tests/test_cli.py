@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -110,6 +112,16 @@ class TestVerify:
         assert obj["pass"] is True and obj["inconclusive"] == []
         assert obj["prec"] == [128, 128] and obj["raises"] == [0, 0]
 
+    def test_bessel_default_grid(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "bessel", "--z-grid", "1484:10000:50", "--format", "json",
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert len(obj["grid"]) == 50
+        assert obj["failures"] == [] and obj["inconclusive"] == []
+        assert obj["raises"] == [0] * 50
+
     def test_bessel_raised_precision_reported(self, capsys, monkeypatch):
         monkeypatch.setattr("bkd.asymptotic.auto_prec", lambda z: 64)
         code, out, _ = run(
@@ -157,6 +169,34 @@ class TestVerify:
         assert lines[1].startswith("5,") and lines[1].endswith("hypothesis-not-met")
         assert "@384" in lines[1]  # precision tag on every enclosure
         assert "/" in lines[1].split(",")[1]  # theta as an exact rational
+
+
+    @pytest.mark.parametrize("first,last", [(3512, 3515), (5, 7)])
+    def test_sandwich_csv_computes_tail_factors_once(self, capsys, monkeypatch,
+                                                     first, last):
+        # above the gate the CSV reads g, G from the check; below it the
+        # check computes none and the CSV computes them
+        from bkd import asymptotic
+
+        calls = []
+        original = asymptotic.tail_factors
+
+        def counted(k, n, prec):
+            calls.append(n)
+            return original(k, n, prec)
+
+        monkeypatch.setattr(asymptotic, "tail_factors", counted)
+        code, out, _ = run(
+            capsys, "verify", "sandwich", "--k", "1", "--from", str(first),
+            "--to", str(last), "--format", "csv",
+        )
+        assert code == 0
+        assert calls == list(range(first, last + 1))
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [int(row[0]) for row in rows] == calls
+        for row in rows:
+            g, big_g = original(1, int(row[0]), 384)
+            assert row[6:8] == [g.dumps(), big_g.dumps()]
 
 
 class TestExitCodeMapping:
@@ -212,6 +252,7 @@ class TestImports:
     def test_exact_commands_never_import_mpmath(self, cache_dir):
         proc = run_fresh("""
             import sys
+            traceback_preloaded = "traceback" in sys.modules
             from bkd.cli import main
             for argv, code in (
                 (["expand", "--k", "1", "--n", "60"], 0),
@@ -223,6 +264,10 @@ class TestImports:
                 (["scan", "conjecture", "--k", "2", "--r", "3", "--to", "50"], 0),
             ):
                 assert main(argv) == code, argv
+                if argv[1] == "logconcave":
+                    assert "bkd.positivity" not in sys.modules, "logconcave imported positivity"
+                    assert traceback_preloaded or "traceback" not in sys.modules, (
+                        "a passing command imported traceback")
             assert "mpmath" not in sys.modules, "an exact command imported mpmath"
         """, cache_dir)
         assert proc.returncode == 0, proc.stderr
