@@ -17,6 +17,7 @@ them checks return HYPOTHESIS_NOT_MET rather than a verdict.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial, lgamma, log, log2, sqrt
@@ -48,6 +49,7 @@ __all__ = [
     "bessel_remainder_margin",
     "bessel_remainder_check",
     "margin_outcome",
+    "between",
     "general_remainder_terms",
     "general_remainder_bound",
     "gamma_constants",
@@ -308,6 +310,27 @@ def bessel_remainder_check(z, prec: Union[int, str, None] = None) -> CheckOutcom
     return margin_outcome(bessel_remainder_margin(z, prec))
 
 
+def between(lower, value, upper, strict: bool) -> CheckOutcome:
+    """Decide lower <= value <= upper, or lower < value < upper when
+    ``strict``, for IntervalReal enclosures and exact ints or Fractions.
+
+    PASS when the inequality holds at every point of the enclosures, FAIL
+    when it fails at every point, INCONCLUSIVE otherwise.  An enclosure
+    enters by its endpoints as Fractions, so every comparison is exact.
+    This is the one two-sided comparator behind the sandwich and bounds
+    checks; each caller states its strictness.
+    """
+    (low_lo, low_hi), (lo, hi), (up_lo, up_hi) = (
+        (x.lo_fraction(), x.hi_fraction()) if isinstance(x, IntervalReal) else (x, x)
+        for x in (lower, value, upper))
+    holds = operator.lt if strict else operator.le
+    if holds(low_hi, lo) and holds(hi, up_lo):
+        return CheckOutcome.PASS
+    if not (holds(low_lo, hi) and holds(lo, up_hi)):
+        return CheckOutcome.FAIL
+    return CheckOutcome.INCONCLUSIVE
+
+
 # ---------------------------------------------------------------------------
 # General remainder bound for integer nu >= 2
 # ---------------------------------------------------------------------------
@@ -459,11 +482,7 @@ def envelope_sandwich_outcome(
         return CheckOutcome.HYPOTHESIS_NOT_MET
     scaled = scaled_i2(z, p)
     phi, big_phi = envelope_pair(k, t_iv, p, orientation)
-    if phi.hi <= scaled.lo and scaled.hi <= big_phi.lo:
-        return CheckOutcome.PASS
-    if phi.lo > scaled.hi or scaled.lo > big_phi.hi:
-        return CheckOutcome.FAIL
-    return CheckOutcome.INCONCLUSIVE
+    return between(phi, scaled, big_phi, strict=False)
 
 
 # ---------------------------------------------------------------------------
@@ -513,12 +532,7 @@ def main_term_sandwich(
     corr = unwrap(x, ctx) ** (-6)
     lower = wrap(m_val * (1 - corr), prec)
     upper = wrap(m_val * (1 + corr), prec)
-    delta = table.coeffs[n]
-    if lower.hi_fraction() <= delta <= upper.lo_fraction():
-        return CheckOutcome.PASS
-    if delta < lower.lo_fraction() or delta > upper.hi_fraction():
-        return CheckOutcome.FAIL
-    return CheckOutcome.INCONCLUSIVE
+    return between(lower, table.coeffs[n], upper, strict=False)
 
 
 def lambda_exact(k: int, n: int, prec: int = DEFAULT_PREC) -> IntervalReal:
@@ -618,27 +632,21 @@ def lambda_bounds_check(k: int, n: int, prec: int = DEFAULT_PREC) -> CheckOutcom
     if n < 2:
         return CheckOutcome.HYPOTHESIS_NOT_MET
     rb = ratio_bounds(k, n, prec)
-    lam = lambda_exact(k, n, prec)
-    if rb.lambda_lo.hi <= lam.lo and lam.hi <= rb.lambda_hi.lo:
-        return CheckOutcome.PASS
-    if lam.hi < rb.lambda_lo.lo or lam.lo > rb.lambda_hi.hi:
-        return CheckOutcome.FAIL
-    return CheckOutcome.INCONCLUSIVE
+    return between(rb.lambda_lo, lambda_exact(k, n, prec), rb.lambda_hi, strict=False)
 
 
 def theta_bounds_check(
-    k: int, n: int, table: PartitionTable, prec: int = DEFAULT_PREC
+    k: int, n: int, table: PartitionTable, prec: int = DEFAULT_PREC,
+    bounds: Optional[RatioBounds] = None,
 ) -> CheckOutcome:
-    """theta_lo < Theta_exact < theta_hi at n (valid for size >= 315)."""
-    rb = ratio_bounds(k, n, prec)
+    """theta_lo < Theta_exact < theta_hi at n (valid for size >= 315).
+
+    ``bounds`` is ratio_bounds(k, n, prec) when the caller already has it.
+    """
+    rb = bounds or ratio_bounds(k, n, prec)
     if not rb.theta_valid:
         return CheckOutcome.HYPOTHESIS_NOT_MET
-    th = theta_exact(table, n)
-    if rb.theta_lo.hi_fraction() < th < rb.theta_hi.lo_fraction():
-        return CheckOutcome.PASS
-    if th <= rb.theta_lo.lo_fraction() or th >= rb.theta_hi.hi_fraction():
-        return CheckOutcome.FAIL
-    return CheckOutcome.INCONCLUSIVE
+    return between(rb.theta_lo, theta_exact(table, n), rb.theta_hi, strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -769,10 +777,5 @@ def sandwich_check(
     lower = wrap(lam * unwrap(g, ctx), prec)
     upper = wrap(lam * unwrap(big_g, ctx), prec)
     th = theta_exact(table, n)
-    if lower.hi_fraction() <= th <= upper.lo_fraction():
-        outcome = CheckOutcome.PASS
-    elif th < lower.lo_fraction() or th > upper.hi_fraction():
-        outcome = CheckOutcome.FAIL
-    else:
-        outcome = CheckOutcome.INCONCLUSIVE
+    outcome = between(lower, th, upper, strict=False)
     return SandwichResult(k, n, outcome, th, lower, upper, g, big_g, prec)

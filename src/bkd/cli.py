@@ -7,6 +7,13 @@
     bkd verify sandwich --k 1 --from 3512 --to 4000 --prec 384
     bkd scan conjecture --k 1 --r 3 --to 5000
 
+Each range check of `verify` is a row of the table CHECKS, run by the one
+loop inequalities.scan_check.  Every `verify` report has the same keys;
+`pass` means no failure and no inconclusive point (points below a claim's
+validity range are skipped).  With --format csv, sandwich and theta-bounds
+print their enclosures per n, and exact checks given --margins the n,margin
+integers they compared.
+
 Exit codes: 0 all checks pass, 1 mathematical counterexample found,
 2 precision-inconclusive outcome, 3 usage error, 4 internal error (the
 traceback goes to stderr; no verdict was reached).
@@ -28,7 +35,8 @@ import os
 import sys
 import tempfile
 import time
-from typing import Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import inequalities
 from .etaseries import PartitionTable, delta_table
@@ -134,9 +142,11 @@ def _emit(text: str, out: Optional[str]) -> None:
             sys.stdout.write("\n")
 
 
-def _report_text(obj: dict) -> str:
-    lines = ["%s: %s" % (key, obj[key]) for key in obj]
-    return "\n".join(lines) + "\n"
+def _report_text(obj: dict, fmt: str) -> str:
+    """One JSON line for --format json, else one "key: value" line per key."""
+    if fmt == "json":
+        return json.dumps(obj, separators=(",", ":")) + "\n"
+    return "".join("%s: %s\n" % item for item in obj.items())
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +183,6 @@ def _cmd_expand(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-EXACT_CHECKS = {
-    "logconcave": (inequalities.logconcave_margin, 1),
-    "turan3": (inequalities.turan3_margin, 2),
-    "theta-mono": (inequalities.theta_monotone_margin, 2),
-}
-INTERVAL_CHECKS = ("sandwich", "theta-bounds", "bessel", "phi-psi")
-ALL_CHECKS = tuple(EXACT_CHECKS) + ("dlog", "jensen") + INTERVAL_CHECKS
-
-
 def _parse_prec(value: Optional[str]):
     if value in (None, "auto"):
         return None
@@ -194,56 +195,85 @@ def _parse_prec(value: Optional[str]):
     return p
 
 
-def _verify_exact(args) -> int:
-    margin_fn_base, lookahead = EXACT_CHECKS[args.check]
-    table = load_table(args.k, args.to + lookahead)
-    report = inequalities.scan_check(
-        table,
-        args.check,
-        lambda n: margin_fn_base(table, n),
-        args.from_n,
-        args.to,
-        collect_margins=args.margins,
-    )
-    return _finish_report(args, report)
+def _sandwich(table, prec: int, rows: Optional[list], n: int) -> CheckOutcome:
+    from . import asymptotic
+
+    result = asymptotic.sandwich_check(table.k, n, table, prec)
+    if rows is not None:
+        factors = None if result.g is None else (result.g, result.big_g)
+        rows.append((n, result.outcome, None, factors))
+    return result.outcome
 
 
-def _verify_dlog(args) -> int:
-    if args.r is None:
-        raise UsageError("verify dlog requires --r")
-    table = load_table(args.k, args.to + args.r)
-    flip = 1 if args.r % 2 == 1 else -1
-    report = inequalities.scan_check(
-        table,
-        "dlog-r%d" % args.r,
-        lambda n: flip * inequalities.dlog_sign(table, n, args.r).value,
-        args.from_n,
-        args.to,
-    )
-    report.notes = "sign convention: (-1)^(r-1) D^r log delta > 0"
-    return _finish_report(args, report)
+def _theta_bounds(table, prec: int, rows: Optional[list], n: int) -> CheckOutcome:
+    from . import asymptotic
+
+    bounds = asymptotic.ratio_bounds(table.k, n, prec)
+    outcome = asymptotic.theta_bounds_check(table.k, n, table, prec, bounds)
+    if rows is not None:
+        rows.append((n, outcome, bounds, None))
+    return outcome
 
 
-def _verify_jensen(args) -> int:
-    if args.d is None:
-        raise UsageError("verify jensen requires --d")
-    table = load_table(args.k, args.to + args.d)
-    report = inequalities.scan_check(
-        table,
-        "jensen-d%d" % args.d,
-        lambda n: 1 if inequalities.jensen_hyperbolic(table, args.d, n) else -1,
-        args.from_n,
-        args.to,
-    )
-    return _finish_report(args, report)
+class Check(NamedTuple):
+    """A range check of ``bkd verify``.  ``evaluate`` takes the table, the
+    option's value or an interval check's (prec, CSV rows), and n last."""
+
+    report: str                # report name; {} takes the option's value
+    option: Optional[str]      # "r" or "d" when the check requires it
+    lookahead: Optional[int]   # table entries needed past n; None: the option's value
+    evaluate: Callable[..., Union[int, CheckOutcome]]
+    interval: bool = False     # k in {1, 2}, --from >= 2, --prec, the ratio CSV
+    notes: Optional[str] = None
+
+
+CHECKS = {
+    "logconcave": Check("logconcave", None, 1, inequalities.logconcave_margin),
+    "turan3": Check("turan3", None, 2, inequalities.turan3_margin),
+    "theta-mono": Check("theta-mono", None, 2, inequalities.theta_monotone_margin),
+    "dlog": Check("dlog-r{}", "r", None, inequalities.dlog_margin,
+                  notes="sign convention: (-1)^(r-1) D^r log delta > 0"),
+    "jensen": Check("jensen-d{}", "d", None, inequalities.jensen_margin),
+    "sandwich": Check("sandwich", None, 1, _sandwich, interval=True),
+    "theta-bounds": Check("theta-bounds", None, 1, _theta_bounds, interval=True),
+}
+ALL_CHECKS = tuple(CHECKS) + ("bessel", "phi-psi")
+
+
+def _verify_range(args, check: Check) -> int:
+    """Run a check of the table on [--from, --to] and print its report."""
+    value = getattr(args, check.option) if check.option else None
+    if check.option and value is None:
+        raise UsageError("verify %s requires --%s" % (args.check, check.option))
+    leading = (value,) if check.option else ()  # evaluate's arguments before n
+    extra = rows = ratio_csv = None
+    if check.interval:
+        if args.k not in (1, 2):
+            raise UsageError("verify %s is stated for --k 1 or 2" % args.check)
+        if args.from_n < 2:
+            raise UsageError("verify %s needs --from >= 2 (Lambda(n) uses n - 1)"
+                             % args.check)
+        from . import asymptotic  # noqa: F401  (loaded before the timed scan)
+
+        prec = _parse_prec(args.prec) or 384
+        rows = [] if args.format == "csv" else None
+        leading, extra = (prec, rows), {"prec": prec}
+    table = load_table(args.k, args.to + (check.lookahead or value))
+    report = inequalities.scan_check(table, check.report.format(value),
+                                     partial(check.evaluate, table, *leading),
+                                     args.from_n, args.to, collect_margins=args.margins)
+    report.notes = check.notes
+    if rows is not None:
+        ratio_csv = _ratio_csv_rows(args.k, table, prec, rows)
+    return _finish_report(args, report, extra, ratio_csv)
 
 
 def _ratio_csv_rows(k: int, table, prec: int, rows) -> str:
     """Per-n dump: exact theta as a rational, every analytic quantity as
     a decimal enclosure with its precision tag, plus the verdict.
 
-    ``rows`` holds (n, outcome, factors); factors is the (g, G) pair the
-    check already computed, or None, in which case it is computed here.
+    ``rows`` holds (n, outcome, bounds, factors): the ratio bounds and
+    (g, G) the check computed, or None, in which case they are computed here.
     """
     from . import asymptotic
 
@@ -251,8 +281,8 @@ def _ratio_csv_rows(k: int, table, prec: int, rows) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["n", "theta_exact", "theta_lo", "theta_hi",
                 "lambda_lo", "lambda_hi", "g", "G", "verdict"])
-    for n, outcome, factors in rows:
-        rb = asymptotic.ratio_bounds(k, n, prec)
+    for n, outcome, bounds, factors in rows:
+        rb = bounds or asymptotic.ratio_bounds(k, n, prec)
         g, big_g = factors or asymptotic.tail_factors(k, n, prec)
         th = asymptotic.theta_exact(table, n)
         w.writerow([
@@ -264,53 +294,6 @@ def _ratio_csv_rows(k: int, table, prec: int, rows) -> str:
             outcome.value,
         ])
     return buf.getvalue()
-
-
-def _verify_interval_range(args) -> int:
-    from . import asymptotic
-
-    if args.k not in (1, 2):
-        raise UsageError("verify %s is stated for --k 1 or 2" % args.check)
-    if args.from_n < 2:
-        raise UsageError("verify %s needs --from >= 2 (Lambda(n) uses n - 1)"
-                         % args.check)
-    prec = _parse_prec(args.prec) or 384
-    table = load_table(args.k, args.to + 1)
-    t0 = time.perf_counter()
-    failures, inconclusive, skipped = [], [], []
-    rows = []
-    for n in range(args.from_n, args.to + 1):
-        factors = None
-        if args.check == "sandwich":
-            result = asymptotic.sandwich_check(args.k, n, table, prec)
-            outcome = result.outcome
-            if result.g is not None:
-                factors = result.g, result.big_g
-        else:
-            outcome = asymptotic.theta_bounds_check(args.k, n, table, prec)
-        rows.append((n, outcome, factors))
-        if outcome is CheckOutcome.FAIL:
-            failures.append(n)
-        elif outcome is CheckOutcome.INCONCLUSIVE:
-            inconclusive.append(n)
-        elif outcome is CheckOutcome.HYPOTHESIS_NOT_MET:
-            skipped.append(n)
-    report = VerificationReport(
-        check_name=args.check,
-        k=args.k,
-        from_n=args.from_n,
-        to_n=args.to,
-        failures=failures,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    )
-    if args.format == "csv":
-        _emit(_ratio_csv_rows(args.k, table, prec, rows), args.out)
-        if failures:
-            return EXIT_COUNTEREXAMPLE
-        return EXIT_INCONCLUSIVE if inconclusive else EXIT_PASS
-    extra = {"inconclusive": inconclusive, "skipped_below_validity": skipped,
-             "prec": prec}
-    return _finish_report(args, report, extra=extra)
 
 
 def _parse_z_grid(spec: str) -> list[float]:
@@ -340,30 +323,23 @@ def _verify_bessel(args) -> int:
     grid = _parse_z_grid(args.z_grid or "1484:10000:50")
     prec = _parse_prec(args.prec)
     t0 = time.perf_counter()
-    failures, inconclusive, precs, raises = [], [], [], []
-    for i, z in enumerate(grid):
-        margin = asymptotic.bessel_remainder_margin(z, prec)
-        outcome = asymptotic.margin_outcome(margin)
-        precs.append(margin.prec)
-        raises.append(asymptotic.remainder_precisions(z, prec).index(margin.prec))
-        if outcome is CheckOutcome.FAIL:
-            failures.append(i)
-        elif outcome is CheckOutcome.INCONCLUSIVE:
-            inconclusive.append(i)
     report = VerificationReport(
         check_name="bessel",
         k=args.k or 0,
         from_n=int(grid[0]),
         to_n=int(grid[-1]),
-        failures=failures,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
         notes="z-grid %s (failures/inconclusive hold grid indices)"
         % (args.z_grid or "1484:10000:50"),
     )
-    extra = {"inconclusive": inconclusive,
-             "grid": ["%.6f" % z for z in grid],
-             "prec": precs, "raises": raises}
-    return _finish_report(args, report, extra=extra)
+    precs, raises = [], []
+    for i, z in enumerate(grid):
+        margin = asymptotic.bessel_remainder_margin(z, prec)
+        report.add(i, asymptotic.margin_outcome(margin))
+        precs.append(margin.prec)
+        raises.append(asymptotic.remainder_precisions(z, prec).index(margin.prec))
+    report.runtime_ms = int((time.perf_counter() - t0) * 1000)
+    extra = {"grid": ["%.6f" % z for z in grid], "prec": precs, "raises": raises}
+    return _finish_report(args, report, extra)
 
 
 def _verify_phi_psi(args) -> int:
@@ -394,24 +370,20 @@ def _verify_phi_psi(args) -> int:
         runtime_ms=int((time.perf_counter() - t0) * 1000),
         notes=("refuted: %s" % ", ".join(failures)) if failures else None,
     )
-    return _finish_report(args, report, extra={"certificates": certs})
+    return _finish_report(args, report, {"certificates": certs})
 
 
-def _finish_report(args, report: VerificationReport, extra: Optional[dict] = None) -> int:
+def _finish_report(args, report: VerificationReport, extra: Optional[dict] = None,
+                   csv_text: Optional[str] = None) -> int:
+    """Print the report, with the check-specific keys ``extra``, and return
+    its exit code.  CSV is ``csv_text``, else the margins, else text."""
     obj = report.to_json_obj()
-    if extra:
-        obj.update(extra)
-    if args.format == "json":
-        _emit(json.dumps(obj, separators=(",", ":")) + "\n", args.out)
-    elif args.format == "csv" and report.margins is not None:
-        _emit(report.margins_csv(), args.out)
+    obj.update(extra or {})
+    if args.format == "csv" and (csv_text or report.margins is not None):
+        _emit(csv_text or report.margins_csv(), args.out)
     else:
-        _emit(_report_text(obj), args.out)
-    if report.failures:
-        return EXIT_COUNTEREXAMPLE
-    if extra and extra.get("inconclusive"):
-        return EXIT_INCONCLUSIVE
-    return EXIT_PASS
+        _emit(_report_text(obj, args.format), args.out)
+    return report.exit_code
 
 
 def _cmd_verify(args) -> int:
@@ -427,13 +399,7 @@ def _cmd_verify(args) -> int:
         raise UsageError("--k is required for this check")
     if args.to is None:
         raise UsageError("--to is required for this check")
-    if args.check in EXACT_CHECKS:
-        return _verify_exact(args)
-    if args.check == "dlog":
-        return _verify_dlog(args)
-    if args.check == "jensen":
-        return _verify_jensen(args)
-    return _verify_interval_range(args)
+    return _verify_range(args, CHECKS[args.check])
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +423,7 @@ def _cmd_scan(args) -> int:
         "violations": sorted(report.failures),
         "elapsed_ms": int((time.perf_counter() - t0) * 1000),
     }
-    if args.format == "json":
-        _emit(json.dumps(obj, separators=(",", ":")) + "\n", args.out)
-    else:
-        _emit(_report_text(obj), args.out)
+    _emit(_report_text(obj, args.format), args.out)
     return EXIT_PASS if candidate is not None else EXIT_COUNTEREXAMPLE
 
 

@@ -15,11 +15,12 @@ is pinned by a unit test on a four-term table.
 from __future__ import annotations
 
 import time
+from functools import partial
 from math import comb
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .etaseries import PartitionTable
-from .report import Sign, VerificationReport
+from .report import CheckOutcome, Sign, VerificationReport
 
 __all__ = [
     "logconcave_margin",
@@ -29,8 +30,10 @@ __all__ = [
     "theta_monotone_margin",
     "theta_monotone_at",
     "dlog_sign",
+    "dlog_margin",
     "jensen_coeffs",
     "jensen_hyperbolic",
+    "jensen_margin",
     "scan_check",
     "conjecture_threshold",
     "jensen_threshold",
@@ -107,6 +110,12 @@ def dlog_sign(table: PartitionTable, n: int, r: int) -> Sign:
     return Sign.of(plus - minus)
 
 
+def dlog_margin(table: PartitionTable, r: int, n: int) -> int:
+    """(-1)^(r-1) times the sign of D^r log a(n): 1 where the alternating
+    sign pattern holds at n, else 0 or -1."""
+    return (1 if r % 2 else -1) * dlog_sign(table, n, r).value
+
+
 def jensen_coeffs(table: PartitionTable, d: int, n: int) -> list[int]:
     """Coefficients of sum_j C(d,j) a(n+j) X^j, ascending."""
     if d < 1:
@@ -129,6 +138,11 @@ def jensen_hyperbolic(table: PartitionTable, d: int, n: int) -> bool:
     return is_hyperbolic(jensen_coeffs(table, d, n))
 
 
+def jensen_margin(table: PartitionTable, d: int, n: int) -> int:
+    """1 when the degree-d shift-n Jensen polynomial is hyperbolic, else -1."""
+    return 1 if jensen_hyperbolic(table, d, n) else -1
+
+
 # ---------------------------------------------------------------------------
 # Range scans
 # ---------------------------------------------------------------------------
@@ -136,34 +150,45 @@ def jensen_hyperbolic(table: PartitionTable, d: int, n: int) -> bool:
 def scan_check(
     table: PartitionTable,
     check_name: str,
-    margin_fn: Callable[[int], int],
+    margin_fn: Callable[[int], Union[int, CheckOutcome]],
     from_n: int,
     to_n: int,
     collect_margins: bool = False,
 ) -> VerificationReport:
-    """Scan margin_fn over [from_n, to_n]; failures are n with margin <= 0."""
+    """The one range loop: evaluate margin_fn at each n in [from_n, to_n].
+
+    margin_fn returns an exact integer margin, a failure when <= 0 (kept
+    per n with ``collect_margins``), or a CheckOutcome, filed as it is.
+    """
     if from_n > to_n:
         raise ValueError("empty range: from %d to %d" % (from_n, to_n))
     t0 = time.perf_counter()
-    failures = []
-    margins = {} if collect_margins else None
+    report = VerificationReport(check_name=check_name, k=table.k, from_n=from_n,
+                                to_n=to_n, margins={} if collect_margins else None)
+    failures, margins = report.failures, report.margins
     for n in range(from_n, to_n + 1):
         value = margin_fn(n)
+        if isinstance(value, CheckOutcome):
+            report.add(n, value)
+            continue
         if collect_margins:
             margins[n] = value
         if value <= 0:
             failures.append(n)
-    report = VerificationReport(
-        check_name=check_name,
-        k=table.k,
-        from_n=from_n,
-        to_n=to_n,
-        failures=failures,
-        margins=margins,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    )
-    report.validate()
+    report.runtime_ms = int((time.perf_counter() - t0) * 1000)
     return report
+
+
+def _threshold(report: VerificationReport) -> Optional[int]:
+    """Least n* such that the scan passed on all of [n*, to]: the last
+    failure + 1, or from when nothing failed.  None when the failures
+    reach to itself, so that no threshold exists below the scan limit."""
+    if not report.failures:
+        return report.from_n
+    if report.failures[-1] == report.to_n:
+        report.notes = "no threshold found <= %d" % report.to_n
+        return None
+    return report.failures[-1] + 1
 
 
 def conjecture_threshold(
@@ -182,18 +207,9 @@ def conjecture_threshold(
             "scan to %d at order %d needs table N >= %d (have %d)"
             % (to_n, r, to_n + r, table.N)
         )
-    sign_flip = 1 if r % 2 == 1 else -1
-
-    def margin(n: int) -> int:
-        return sign_flip * dlog_sign(table, n, r).value
-
-    report = scan_check(table, "dlog-alternating-r%d" % r, margin, 1, to_n)
-    if not report.failures:
-        return 1, report
-    if report.failures[-1] == to_n:
-        report.notes = "no threshold found <= %d" % to_n
-        return None, report
-    return report.failures[-1] + 1, report
+    report = scan_check(table, "dlog-alternating-r%d" % r,
+                        partial(dlog_margin, table, r), 1, to_n)
+    return _threshold(report), report
 
 
 def jensen_threshold(
@@ -203,14 +219,5 @@ def jensen_threshold(
     hyperbolic for every n in [n*, to_n] (scanning from n = 0)."""
     if to_n + d > table.N:
         raise IndexError("scan needs table N >= %d" % (to_n + d))
-
-    def margin(n: int) -> int:
-        return 1 if jensen_hyperbolic(table, d, n) else -1
-
-    report = scan_check(table, "jensen-d%d" % d, margin, 0, to_n)
-    if not report.failures:
-        return 0, report
-    if report.failures[-1] == to_n:
-        report.notes = "no threshold found <= %d" % to_n
-        return None, report
-    return report.failures[-1] + 1, report
+    report = scan_check(table, "jensen-d%d" % d, partial(jensen_margin, table, d), 0, to_n)
+    return _threshold(report), report

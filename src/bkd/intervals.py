@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import mpmath as mp
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import from_rational, round_ceiling, round_floor
 
 __all__ = [
     "IntervalReal",
@@ -54,11 +55,15 @@ def mpf_fraction(x: mp.mpf) -> Fraction:
 
 
 def rational_to_iv(ctx: MPIntervalContext, q) -> "mp.iv.mpf":
-    """Enclosure of an exact int/Fraction under ctx (directed rounding)."""
+    """Enclosure of an exact int/Fraction under ctx: p/q rounded once down
+    and once up, the tightest enclosure at ctx.prec, so nested rationals
+    get nested enclosures."""
     if isinstance(q, int):
         return ctx.mpf(q)
     q = Fraction(q)
-    return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
+    p, d, prec = q.numerator, q.denominator, ctx.prec
+    return ctx.make_mpf((from_rational(p, d, prec, round_floor),
+                         from_rational(p, d, prec, round_ceiling)))
 
 
 @dataclass(frozen=True)
@@ -104,23 +109,8 @@ class IntervalReal:
         )
         return self.lo_fraction() <= q <= self.hi_fraction()
 
-    def definitely_positive(self) -> bool:
-        return self.lo > 0
-
-    def definitely_negative(self) -> bool:
-        return self.hi < 0
-
     def straddles_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
-
-    def strictly_less_than(self, other) -> bool:
-        """True only when every value here is below every value there."""
-        other = to_interval(other, self.prec)
-        return self.hi < other.lo
-
-    def strictly_greater_than(self, other) -> bool:
-        other = to_interval(other, self.prec)
-        return self.lo > other.hi
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -175,13 +165,6 @@ class IntervalReal:
     def exp(self):
         ctx = ctx_for(self.prec)
         return wrap(ctx.exp(ctx.mpf([self.lo, self.hi])), self.prec)
-
-    def hull(self, other: "IntervalReal") -> "IntervalReal":
-        return IntervalReal(
-            lo=min(self.lo, other.lo),
-            hi=max(self.hi, other.hi),
-            prec=min(self.prec, other.prec),
-        )
 
     def __repr__(self) -> str:
         return "IntervalReal([%s, %s] @%d)" % (

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import enum
 import io
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -45,25 +44,40 @@ class CheckOutcome(enum.Enum):
 
 @dataclass
 class VerificationReport:
-    """Per-range record of a check: failures, exact margins, timing."""
+    """Per-range record of a check: the n that failed, were inconclusive
+    or lay below the claim's validity range, exact margins, timing."""
 
     check_name: str
     k: int
     from_n: int
     to_n: int
     failures: list[int] = field(default_factory=list)
+    inconclusive: list[int] = field(default_factory=list)
+    skipped: list[int] = field(default_factory=list)
     margins: Optional[dict[int, int]] = None
     runtime_ms: int = 0
     notes: Optional[str] = None
 
+    def add(self, n: int, outcome: CheckOutcome) -> None:
+        """File the outcome at n; PASS needs no record."""
+        if outcome is CheckOutcome.FAIL:
+            self.failures.append(n)
+        elif outcome is CheckOutcome.INCONCLUSIVE:
+            self.inconclusive.append(n)
+        elif outcome is CheckOutcome.HYPOTHESIS_NOT_MET:
+            self.skipped.append(n)
+
     @property
     def passed(self) -> bool:
-        return not self.failures
+        """Every point passed or lay below the validity range."""
+        return not self.failures and not self.inconclusive
 
-    def validate(self) -> None:
-        bad = [n for n in self.failures if not (self.from_n <= n <= self.to_n)]
-        if bad:
-            raise AssertionError("failures outside scanned range: %r" % (bad,))
+    @property
+    def exit_code(self) -> int:
+        """1 on any failure, else 2 on any inconclusive point, else 0."""
+        if self.failures:
+            return 1
+        return 2 if self.inconclusive else 0
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -77,10 +91,9 @@ class VerificationReport:
         }
         if self.notes is not None:
             obj["notes"] = self.notes
+        obj["inconclusive"] = self.inconclusive
+        obj["skipped_below_validity"] = self.skipped
         return obj
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
     def margins_csv(self) -> str:
         """Per-n exact integer margins as CSV (only if margins were kept)."""

@@ -13,6 +13,7 @@ from bkd.asymptotic import (
     auto_prec,
     bessel_i,
     bessel_remainder_check,
+    between,
     bessel_remainder_margin,
     envelope_pair,
     envelope_sandwich_outcome,
@@ -422,6 +423,29 @@ class TestSandwich:
             sandwich_check(3, 100, t)
         with pytest.raises(ValueError):
             main_term_sandwich(3, 100, t)
+
+
+class TestBetween:
+    @pytest.mark.parametrize("lower,value,upper,strict,outcome", [
+        (1, Fraction(3, 2), 2, True, CheckOutcome.PASS),
+        (1, 1, 2, False, CheckOutcome.PASS),
+        (1, 1, 2, True, CheckOutcome.FAIL),          # equality breaks a strict bound
+        (1, 2, 2, True, CheckOutcome.FAIL),
+        (1, 3, 2, False, CheckOutcome.FAIL),
+        (0, Fraction(-1, 2), 2, False, CheckOutcome.FAIL),
+    ])
+    def test_exact_values(self, lower, value, upper, strict, outcome):
+        assert between(lower, value, upper, strict) is outcome
+
+    def test_enclosures(self):
+        low, up = to_interval((0, 1), 64), to_interval((3, 4), 64)
+        assert between(low, 2, up, strict=True) is CheckOutcome.PASS
+        assert between(low, to_interval((1, 3), 64), up, strict=False) is CheckOutcome.PASS
+        assert between(low, to_interval((1, 3), 64), up, strict=True) is (
+            CheckOutcome.INCONCLUSIVE)
+        assert between(low, Fraction(1, 2), up, strict=False) is CheckOutcome.INCONCLUSIVE
+        assert between(low, 5, up, strict=False) is CheckOutcome.FAIL
+        assert between(low, to_interval((-2, -1), 64), up, strict=False) is CheckOutcome.FAIL
 
 
 class TestPrecisionNeverFlips:

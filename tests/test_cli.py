@@ -198,6 +198,46 @@ class TestVerify:
             g, big_g = original(1, int(row[0]), 384)
             assert row[6:8] == [g.dumps(), big_g.dumps()]
 
+    def test_theta_bounds_csv_computes_ratio_bounds_once(self, capsys, monkeypatch):
+        # the CSV reads the bounds the check compared instead of
+        # computing them again
+        from bkd import asymptotic
+
+        calls = []
+        original = asymptotic.ratio_bounds
+
+        def counted(k, n, prec):
+            calls.append(n)
+            return original(k, n, prec)
+
+        monkeypatch.setattr(asymptotic, "ratio_bounds", counted)
+        code, out, _ = run(
+            capsys, "verify", "theta-bounds", "--k", "1", "--from", "15081",
+            "--to", "15084", "--format", "csv",
+        )
+        assert code == 0
+        assert calls == [15081, 15082, 15083, 15084]
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        for row in rows:
+            rb = original(1, int(row[0]), 384)
+            assert row[2:6] == [rb.theta_lo.dumps(), rb.theta_hi.dumps(),
+                                rb.lambda_lo.dumps(), rb.lambda_hi.dumps()]
+            assert row[8] == "pass"
+
+    @pytest.mark.parametrize("argv,margins", [
+        (["dlog", "--r", "3"], [1, -1, 1, 1, 1]),
+        (["jensen", "--d", "4"], [-1] * 5),
+    ])
+    def test_sign_scans_write_margins(self, capsys, argv, margins):
+        code, out, _ = run(
+            capsys, "verify", *argv, "--k", "1", "--from", "1", "--to", "5",
+            "--margins", "--format", "csv",
+        )
+        assert code == 1
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["n", "margin"]
+        assert rows[1:] == [[str(n), str(m)] for n, m in zip(range(1, 6), margins)]
+
 
 class TestExitCodeMapping:
     def test_inconclusive_maps_to_2(self, capsys):
@@ -207,9 +247,30 @@ class TestExitCodeMapping:
         from bkd.report import VerificationReport
 
         args = argparse.Namespace(format="json", out=None)
-        rep = VerificationReport(check_name="x", k=1, from_n=1, to_n=1)
-        code = _finish_report(args, rep, extra={"inconclusive": [1]})
+        rep = VerificationReport(check_name="x", k=1, from_n=1, to_n=1, inconclusive=[1])
+        code = _finish_report(args, rep)
         assert code == EXIT_INCONCLUSIVE
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["pass"] is False and obj["inconclusive"] == [1]
+
+    def test_bessel_inconclusive_is_not_pass(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "bessel", "--z-grid", "10000:10000:1", "--prec", "64",
+            "--format", "json",
+        )
+        assert code == 2
+        obj = json.loads(out)
+        assert obj["inconclusive"] == [0] and obj["failures"] == []
+        assert obj["pass"] is False
+
+    def test_hypothesis_gated_points_pass(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "sandwich", "--k", "1", "--from", "3510", "--to", "3513",
+            "--format", "json",
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["pass"] is True and obj["skipped_below_validity"] == [3510, 3511]
 
     def test_internal_error_maps_to_4(self, capsys, monkeypatch):
         def broken(k, N):
@@ -281,6 +342,30 @@ class TestImports:
         """, cache_dir)
         assert proc.returncode == 0, proc.stderr
         assert len(json.loads(proc.stdout)["grid"]) == 2
+
+
+class TestTracedNames:
+    """``bench/tracing.py`` wraps bkd functions by name from outside the
+    program; a rename under ``src/`` must fail here, not silently empty
+    the benchmark's per-layer trace."""
+
+    @pytest.mark.parametrize("argv,spans", [
+        (["verify", "turan3", "--k", "1", "--to", "50"], {"load_table", "scan_check"}),
+        (["verify", "sandwich", "--k", "1", "--from", "3512", "--to", "3513",
+          "--format", "json"], {"scan_check", "sandwich_check", "main_term", "bessel_i"}),
+        (["verify", "bessel", "--z-grid", "1484:1600:2", "--format", "json"],
+         {"bessel_remainder_margin", "bessel_i"}),
+    ])
+    def test_traced_command(self, cache_dir, tmp_path, argv, spans):
+        tracer = Path(SRC).parent / "bench" / "tracing.py"
+        out = tmp_path / "spans.jsonl"
+        path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, BKD_CACHE_DIR=str(cache_dir), PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, str(tracer), str(out), "cold", "0", "--", *argv],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode in (0, 1), proc.stderr
+        names = {json.loads(line)["name"] for line in out.read_text().splitlines()}
+        assert spans <= names
 
 
 class TestDeterminism:
