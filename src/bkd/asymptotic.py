@@ -8,6 +8,13 @@ asymptotic envelopes, closed-form bounds for the ratio
 Lambda_k(n) = M(n-1) M(n+1) / M(n)^2 and for Theta_k(n), and the
 neighbor-correction factors g_k, G_k.
 
+Every formula is written with the operators of
+:class:`~bkd.intervals.IntervalReal` on exact ints and Fractions; each
+function works at its ``prec`` argument, re-homing an enclosure that
+arrives at another precision with ``at(prec)``.  Only the Bessel series
+runs outside the interval type, in Python integers with directed
+rounding.
+
 Hypothesis gating: formulas evaluate anywhere they are defined, but
 claims are only asserted inside their stated validity ranges (size
 parameter >= 152, >= 315, scaled argument >= (15/2)^6/120, ...); outside
@@ -30,12 +37,9 @@ from .etaseries import PartitionTable
 from .intervals import (
     DEFAULT_PREC,
     IntervalReal,
-    ctx_for,
-    rational_to_iv,
+    pi_interval,
     sqrt_rational_interval,
     to_interval,
-    unwrap,
-    wrap,
 )
 from .report import CheckOutcome
 
@@ -88,19 +92,12 @@ def alpha(k: int) -> Fraction:
     return Fraction(5 * k + 2, 2 * k + 1)
 
 
-@functools.lru_cache(maxsize=32)
-def _sqrt_alpha(k: int, prec: int) -> IntervalReal:
-    return sqrt_rational_interval(alpha(k), prec)
-
-
 def x_param(k: int, n: int, prec: int = DEFAULT_PREC) -> IntervalReal:
     """Size parameter pi sqrt(24 n - (2k + 2)) / 6 as an enclosure."""
     radicand = 24 * n - (2 * k + 2)
     if radicand <= 0:
         raise ValueError("size parameter undefined: 24n - (2k+2) = %d <= 0" % radicand)
-    ctx = ctx_for(prec)
-    x = ctx.pi * ctx.sqrt(ctx.mpf(radicand)) / 6
-    return wrap(x, prec)
+    return pi_interval(prec) * to_interval(radicand, prec).sqrt() / 6
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +119,9 @@ def _series_sum(nu: int, x: tuple, w: int, limit: int, up: bool) -> tuple[int, i
     qm, qe = man * man, 2 * exp - 2
     shift = max(0, (limit * (limit + nu)).bit_length() + 1 - qm.bit_length())
     qm, qe = qm << shift, qe - shift
-    # 2 (x/2)^2 < d  <=>  two_q < d * scale
-    two_q, scale = (qm << qe + 1, 1) if qe >= -1 else (qm, 1 << -qe - 1)
+    # (x/2)^2 = q_num / q_den, and 2^q_log <= (x/2)^2
+    q_num, q_den = (qm << qe, 1) if qe >= 0 else (qm, 1 << -qe)
+    q_log = qm.bit_length() - 1 + qe
     # the upper sum runs on negated values, so that // and >>, which
     # round towards -infinity, round its magnitudes up
     sign = -1 if up else 1
@@ -151,11 +149,17 @@ def _series_sum(nu: int, x: tuple, w: int, limit: int, up: bool) -> tuple[int, i
         t >>= excess
         k += excess
         s += t << k if k >= 0 else t >> -k
-        # the term ratio only falls with m, so once below 1/2 it stays
-        # there, and the tail after a term is at most that term
-        decaying = decaying or two_q < (m + 1) * (m + nu + 1) * scale
-        if decaying and k + t.bit_length() <= 0:
-            return sign * s + up, f
+        # the next term is this one, T = |t| 2^k units, times r = Q/d; r
+        # only falls with m, so once r < 1 the tail is at most
+        # T r/(1 - r) = T Q/(d - Q).  Stop once that is below one unit,
+        # T Q < d - Q, tested exactly after a bit-length screen for T Q < d
+        d = (m + 1) * (m + nu + 1)
+        decaying = decaying or q_num < d * q_den
+        if decaying and k + t.bit_length() + q_log <= d.bit_length():
+            if abs(t) * q_num << max(k, 0) < d * q_den - q_num << max(-k, 0):
+                # the lower sum would add 0 for each of those sub-unit
+                # terms, the upper sum adds the bound's ceiling, one unit
+                return sign * s + up, f
     raise RuntimeError("bessel series failed to converge within %d terms" % limit)
 
 
@@ -175,15 +179,17 @@ def bessel_i(nu: int, z, prec: int = DEFAULT_PREC) -> IntervalReal:
     the mpf mantissa of z is an integer, Q = (z/2)^2 is exact, and the
     next term is T Q // (m (m + nu)), renormalised to w bits.  The terms
     add into one fixed-point integer whose unit 2^F sits w bits below
-    the largest term.  Once 2Q < (m+1)(m+nu+1), an exact integer test,
-    every later term ratio r is below 1/2, so the tail after a term is
-    at most term * r/(1 - r) <= term; when that term is below 2^F too,
-    the upper sum adds one unit of F and stops.  Each sum becomes an mpf
-    at ``prec`` bits, rounded down for the lower end and up for the
-    upper.  F and guard set the tightness only, never the direction of
-    any rounding.  Rigorous for the whole range used here (z up to
-    ~10^4).  For large z the ratio test binds: the sums run to
-    m ~ z/sqrt(2) terms (7071 at z = 10^4).
+    the largest term.  The ratio r = Q/((m+1)(m+nu+1)) of the next term
+    to the current one only falls with m, so once r < 1 the tail after
+    a term T is at most T r/(1 - r); the sums stop at the first term
+    where that bound, an exact integer test, is below 2^F.  Every later
+    term is then below one unit, so the lower sum would add nothing for
+    them, and the upper sum adds the bound's ceiling, one unit of F.
+    Each sum becomes an mpf at ``prec`` bits, rounded down for the lower
+    end and up for the upper.  F and guard set the tightness only, never
+    the direction of any rounding.  Rigorous for the whole range used
+    here (z up to ~10^4).  For large z the sums run a few terms past the
+    last term of at least one unit (m = 5775 at z = 10^4 and 144 bits).
     """
     if nu < 0:
         raise ValueError("nu must be a nonnegative integer")
@@ -209,11 +215,9 @@ def i2_scaled_main(z, prec: Optional[int] = None) -> IntervalReal:
     if z_iv.lo <= 0:
         raise ValueError("main part needs z > 0")
     p = prec or z_iv.prec
-    ctx = ctx_for(p)
-    zz = unwrap(z_iv, ctx)
-    u = 1 / zz
+    u = 1 / z_iv.at(p)
     # Horner in 1/z with exact rational coefficients
-    acc = rational_to_iv(ctx, Fraction(135135, 262144))
+    acc = to_interval(Fraction(135135, 262144), p)
     for c in (
         Fraction(10395, 32768),
         Fraction(315, 1024),
@@ -221,8 +225,8 @@ def i2_scaled_main(z, prec: Optional[int] = None) -> IntervalReal:
         Fraction(-15, 8),
         Fraction(1),
     ):
-        acc = acc * u + rational_to_iv(ctx, c)
-    return wrap(acc, p)
+        acc = acc * u + c
+    return acc
 
 
 def auto_prec(z) -> int:
@@ -263,11 +267,8 @@ def remainder_precisions(z, prec: Union[int, str, None] = None) -> list[int]:
 def scaled_i2(z, prec: int) -> IntervalReal:
     """Enclosure of I_2(z) e^{-z} sqrt(2 pi z), evaluated as a product."""
     z_iv = to_interval(z, prec)
-    ctx = ctx_for(prec)
-    zz = unwrap(z_iv, ctx)
-    bessel = unwrap(bessel_i(2, z_iv, prec), ctx)
-    val = bessel * ctx.exp(-zz) * ctx.sqrt(2 * ctx.pi * zz)
-    return wrap(val, prec)
+    zz = z_iv.at(prec)
+    return bessel_i(2, z_iv, prec) * (-zz).exp() * (2 * pi_interval(prec) * zz).sqrt()
 
 
 def bessel_remainder_margin(z, prec: Union[int, str, None] = None) -> IntervalReal:
@@ -287,10 +288,8 @@ def bessel_remainder_margin(z, prec: Union[int, str, None] = None) -> IntervalRe
         )
     for p in remainder_precisions(z_iv, prec):
         z_p = to_interval(z, p)
-        ctx = ctx_for(p)
-        zz = unwrap(z_p, ctx)
-        err = unwrap(scaled_i2(z_p, p), ctx) - unwrap(i2_scaled_main(z_p, p), ctx)
-        margin = wrap(73 / zz**6 - abs(err), p)
+        err = scaled_i2(z_p, p) - i2_scaled_main(z_p, p)
+        margin = 73 / z_p.at(p)**6 - abs(err)
         if not margin.straddles_zero():
             break
     return margin
@@ -359,46 +358,38 @@ def general_remainder_terms(
             "hypothesis violated: need z >= (nu + 11/2)^6 / 120 = %s"
             % float(general_remainder_hypothesis_min(nu))
         )
-    ctx = ctx_for(prec)
-    zz = unwrap(z_iv, ctx)
-    sqrt2 = ctx.sqrt(ctx.mpf(2))
-    sqrt_pi = ctx.sqrt(ctx.pi)
-    sqrt_z = ctx.sqrt(zz)
-    exp_neg_z = ctx.exp(-zz)
+    zz = z_iv.at(prec)
+    sqrt2 = to_interval(2, prec).sqrt()
+    sqrt_pi = pi_interval(prec).sqrt()
+    sqrt_z = zz.sqrt()
+    exp_neg_z = (-zz).exp()
 
     # Gamma(nu + 1/2) = (2 nu - 1)!! sqrt(pi) / 2^nu, exact up to sqrt(pi)
     dfact = 1
     for i in range(1, 2 * nu, 2):
         dfact *= i
-    gamma_nu_half = rational_to_iv(ctx, Fraction(dfact, 2**nu)) * sqrt_pi
+    gamma_nu_half = Fraction(dfact, 2**nu) * sqrt_pi
 
     # binomial C(nu - 1/2, i) is an exact rational for integer nu
-    binom_sum = ctx.zero
+    binom_sum = to_interval(0, prec)
     for i in range(6):
         b = Fraction(1)
         for j in range(i):
             b *= Fraction(2 * nu - 1 - 2 * j, 2)
         b /= factorial(i)
-        binom_sum = binom_sum + rational_to_iv(ctx, abs(b)) / 2**i
+        binom_sum = binom_sum + to_interval(abs(b), prec) / 2**i
     z_pow_nu = zz**nu
-    t1 = (
-        rational_to_iv(ctx, Fraction(52, 17))
-        * exp_neg_z
-        / gamma_nu_half
-        * binom_sum
-        * z_pow_nu
-        / sqrt_z
-    )
+    t1 = Fraction(52, 17) * exp_neg_z / gamma_nu_half * binom_sum * z_pow_nu / sqrt_z
 
-    two_pow = rational_to_iv(ctx, Fraction(2**nu)) / sqrt2  # 2^(nu - 1/2)
+    two_pow = Fraction(2**nu) / sqrt2  # 2^(nu - 1/2)
     t2 = exp_neg_z * z_pow_nu * sqrt_z / (two_pow * gamma_nu_half)
 
     product = Fraction(1)
     for j in (1, 3, 5, 7, 9, 11):
         product *= Fraction(4 * nu * nu - j * j, 4)
-    cap = ctx.one if nu <= 6 else rational_to_iv(ctx, Fraction(2 ** (nu - 7))) * sqrt2
-    t3 = rational_to_iv(ctx, abs(product) / 720) / (two_pow * zz**6) * cap
-    return wrap(t1, prec), wrap(t2, prec), wrap(t3, prec)
+    cap = 1 if nu <= 6 else Fraction(2 ** (nu - 7)) * sqrt2
+    t3 = abs(product) / 720 / (two_pow * zz**6) * cap
+    return t1, t2, t3
 
 
 def general_remainder_bound(nu: int, z, prec: int = DEFAULT_PREC) -> IntervalReal:
@@ -417,15 +408,13 @@ def gamma_constants(k: int, prec: int = DEFAULT_PREC) -> tuple[IntervalReal, ...
     135135/(262144 a^(5/2)), 73/a^3   with a = alpha_k.
     """
     a = alpha(k)
-    ctx = ctx_for(prec)
-    ra = unwrap(_sqrt_alpha(k, prec), ctx)
-    g1 = rational_to_iv(ctx, Fraction(15, 8)) / ra
-    g2 = rational_to_iv(ctx, Fraction(105, 128) / a)
-    g3 = rational_to_iv(ctx, Fraction(315, 1024) / a) / ra
-    g4 = rational_to_iv(ctx, Fraction(10395, 32768) / a**2)
-    g5 = rational_to_iv(ctx, Fraction(135135, 262144) / a**2) / ra
-    g6 = rational_to_iv(ctx, Fraction(73) / a**3)
-    return tuple(wrap(g, prec) for g in (g1, g2, g3, g4, g5, g6))
+    ra = sqrt_rational_interval(a, prec)
+    return (Fraction(15, 8) / ra,
+            to_interval(Fraction(105, 128) / a, prec),
+            Fraction(315, 1024) / a / ra,
+            to_interval(Fraction(10395, 32768) / a**2, prec),
+            Fraction(135135, 262144) / a**2 / ra,
+            to_interval(Fraction(73) / a**3, prec))
 
 
 def envelope_pair(
@@ -450,16 +439,15 @@ def envelope_pair(
     t_iv = to_interval(t, prec)
     if t_iv.lo <= 0:
         raise ValueError("envelopes need t > 0")
-    ctx = ctx_for(prec)
-    tt = unwrap(t_iv, ctx)
-    g1, g2, g3, g4, g5, g6 = (unwrap(g, ctx) for g in gamma_constants(k, prec))
+    tt = t_iv.at(prec)
+    g1, g2, g3, g4, g5, g6 = gamma_constants(k, prec)
     base = 1 - g1 / tt + g2 / tt**2 + g3 / tt**3 + g4 / tt**4 + g5 / tt**5
     bump = g6 / tt**6
     if orientation == "printed":
         phi, big_phi = base + bump, base - bump
     else:
         phi, big_phi = base - bump, base + bump
-    return wrap(phi, prec), wrap(big_phi, prec)
+    return phi, big_phi
 
 
 def envelope_sandwich_outcome(
@@ -476,8 +464,7 @@ def envelope_sandwich_outcome(
     """
     p = prec or DEFAULT_PREC
     t_iv = to_interval(t, p)
-    ctx = ctx_for(p)
-    z = wrap(unwrap(_sqrt_alpha(k, p), ctx) * unwrap(t_iv, ctx), p)
+    z = sqrt_rational_interval(alpha(k), p) * t_iv.at(p)
     if z.lo_fraction() < Z_REMAINDER_MIN:
         return CheckOutcome.HYPOTHESIS_NOT_MET
     scaled = scaled_i2(z, p)
@@ -496,12 +483,9 @@ def main_term(k: int, n: int, prec: int = DEFAULT_PREC) -> IntervalReal:
     Memoized: Lambda(n) needs M(n-1), M(n) and M(n+1), so a scan over
     consecutive n asks for each value three times.
     """
-    ctx = ctx_for(prec)
-    x = unwrap(x_param(k, n, prec), ctx)
-    ra = unwrap(_sqrt_alpha(k, prec), ctx)
-    bessel = unwrap(bessel_i(2, wrap(ra * x, prec), prec), ctx)
-    val = rational_to_iv(ctx, alpha(k)) * ctx.pi**3 / (18 * x**2) * bessel
-    return wrap(val, prec)
+    x = x_param(k, n, prec)
+    bessel = bessel_i(2, sqrt_rational_interval(alpha(k), prec) * x, prec)
+    return alpha(k) * pi_interval(prec)**3 / (18 * x**2) * bessel
 
 
 def theta_exact(table: PartitionTable, n: int) -> Fraction:
@@ -527,22 +511,17 @@ def main_term_sandwich(
     x = x_param(k, n, prec)
     if x.lo_fraction() < X_MAIN_VALID:
         return CheckOutcome.HYPOTHESIS_NOT_MET
-    ctx = ctx_for(prec)
-    m_val = unwrap(main_term(k, n, prec), ctx)
-    corr = unwrap(x, ctx) ** (-6)
-    lower = wrap(m_val * (1 - corr), prec)
-    upper = wrap(m_val * (1 + corr), prec)
-    return between(lower, table.coeffs[n], upper, strict=False)
+    m_val = main_term(k, n, prec)
+    corr = x ** (-6)
+    return between(m_val * (1 - corr), table.coeffs[n], m_val * (1 + corr), strict=False)
 
 
 def lambda_exact(k: int, n: int, prec: int = DEFAULT_PREC) -> IntervalReal:
     """Enclosure of M(n-1) M(n+1) / M(n)^2 from Bessel evaluations."""
     if n < 2:
         raise ValueError("lambda needs n >= 2 so that x_k(n-1) is defined")
-    ctx = ctx_for(prec)
-    num = unwrap(main_term(k, n - 1, prec), ctx) * unwrap(main_term(k, n + 1, prec), ctx)
-    den = unwrap(main_term(k, n, prec), ctx) ** 2
-    return wrap(num / den, prec)
+    num = main_term(k, n - 1, prec) * main_term(k, n + 1, prec)
+    return num / main_term(k, n, prec) ** 2
 
 
 @dataclass(frozen=True)
@@ -575,30 +554,24 @@ def ratio_bounds(k: int, n: int, prec: int = DEFAULT_PREC) -> RatioBounds:
     if k not in (1, 2):
         raise ValueError("ratio bounds are stated for k = 1 or 2")
     a = alpha(k)
-    ctx = ctx_for(prec)
-    x_iv = x_param(k, n, prec)
-    x = unwrap(x_iv, ctx)
-    ra = unwrap(_sqrt_alpha(k, prec), ctx)
-    pi4 = ctx.pi**4
+    x = x_param(k, n, prec)
+    ra = sqrt_rational_interval(a, prec)
+    pi4 = pi_interval(prec)**4
     pi8 = pi4 * pi4
     u = 1 / x
 
     a_hi = 1 + 5 * pi4 / 9 * u**4 + pi8 / 3 * u**8
-    b_hi = 1 - ra * pi4 / 9 * u**3 + rational_to_iv(ctx, a / 81) * pi8 * u**6
-    c_hi = (
-        1
-        - rational_to_iv(ctx, Fraction(5, 8)) * pi4 / ra * u**5
-        + rational_to_iv(ctx, 292 / a**3) * u**6
-    )
+    b_hi = 1 - ra * pi4 / 9 * u**3 + a / 81 * pi8 * u**6
+    c_hi = 1 - Fraction(5, 8) * pi4 / ra * u**5 + 292 / a**3 * u**6
     lam_hi = a_hi * b_hi * c_hi
 
-    a_lo = 1 + 5 * pi4 / 9 * u**4 + rational_to_iv(ctx, Fraction(5, 18)) * pi8 * u**8
-    b_lo = 1 - ra * pi4 / 9 * u**3 - rational_to_iv(ctx, Fraction(5, 162)) * ra * pi8 * u**7
+    a_lo = 1 + 5 * pi4 / 9 * u**4 + Fraction(5, 18) * pi8 * u**8
+    b_lo = 1 - ra * pi4 / 9 * u**3 - Fraction(5, 162) * ra * pi8 * u**7
     c_lo = (
         1
-        - rational_to_iv(ctx, Fraction(5, 8)) * pi4 / ra * u**5
-        - rational_to_iv(ctx, Fraction(5, 6) / a) * pi4 * u**6
-        - rational_to_iv(ctx, 300 / a**3) * u**6
+        - Fraction(5, 8) * pi4 / ra * u**5
+        - Fraction(5, 6) / a * pi4 * u**6
+        - 300 / a**3 * u**6
     )
     lam_lo = a_lo * b_lo * c_lo
 
@@ -606,24 +579,20 @@ def ratio_bounds(k: int, n: int, prec: int = DEFAULT_PREC) -> RatioBounds:
         1
         - pi4 * ra / 9 * u**3
         + 5 * pi4 / 9 * u**4
-        - rational_to_iv(ctx, Fraction(5, 8)) * pi4 / ra * u**5
+        - Fraction(5, 8) * pi4 / ra * u**5
     )
-    th_lo = common + (
-        rational_to_iv(ctx, -300 / a**3 - 10) - rational_to_iv(ctx, Fraction(5, 6) / a) * pi4
-    ) * u**6
-    th_hi = common + (
-        rational_to_iv(ctx, a / 81) * pi8 + rational_to_iv(ctx, 292 / a**3 + 5)
-    ) * u**6
+    th_lo = common + (-300 / a**3 - 10 - Fraction(5, 6) / a * pi4) * u**6
+    th_hi = common + (a / 81 * pi8 + (292 / a**3 + 5)) * u**6
 
     return RatioBounds(
         k=k,
         n=n,
-        lambda_lo=wrap(lam_lo, prec),
-        lambda_hi=wrap(lam_hi, prec),
-        theta_lo=wrap(th_lo, prec),
-        theta_hi=wrap(th_hi, prec),
+        lambda_lo=lam_lo,
+        lambda_hi=lam_hi,
+        theta_lo=th_lo,
+        theta_hi=th_hi,
         lambda_valid=n >= 2,
-        theta_valid=x_iv.lo_fraction() >= X_THETA_VALID,
+        theta_valid=x.lo_fraction() >= X_THETA_VALID,
     )
 
 
@@ -663,18 +632,17 @@ def tail_factors(
     """
     if n < 2:
         raise ValueError("tail factors need n >= 2")
-    ctx = ctx_for(prec)
-    x = unwrap(x_param(k, n, prec), ctx)
-    shift = 2 * ctx.pi**2 / 3
+    x = x_param(k, n, prec)
+    shift = 2 * pi_interval(prec)**2 / 3
     low_sq = x**2 - shift
-    if low_sq.a <= 0:
+    if low_sq.lo <= 0:
         raise ValueError("x(n-1)^2 enclosure not positive; n too small")
-    xm6 = ctx.sqrt(low_sq) ** (-6)
-    xp6 = ctx.sqrt(x**2 + shift) ** (-6)
+    xm6 = low_sq.sqrt() ** (-6)
+    xp6 = (x**2 + shift).sqrt() ** (-6)
     x6 = x ** (-6)
     g = (1 - xm6) * (1 - xp6) / (1 + x6) ** 2
     big_g = (1 + xm6) * (1 + xp6) / (1 - x6) ** 2
-    return wrap(g, prec), wrap(big_g, prec)
+    return g, big_g
 
 
 # ---------------------------------------------------------------------------
@@ -771,11 +739,9 @@ def sandwich_check(
     if x.lo_fraction() < X_MAIN_VALID:
         return SandwichResult(k, n, CheckOutcome.HYPOTHESIS_NOT_MET,
                               None, None, None, None, None, prec)
-    ctx = ctx_for(prec)
-    lam = unwrap(lambda_exact(k, n, prec), ctx)
+    lam = lambda_exact(k, n, prec)
     g, big_g = tail_factors(k, n, prec)
-    lower = wrap(lam * unwrap(g, ctx), prec)
-    upper = wrap(lam * unwrap(big_g, ctx), prec)
+    lower, upper = lam * g, lam * big_g
     th = theta_exact(table, n)
     outcome = between(lower, th, upper, strict=False)
     return SandwichResult(k, n, outcome, th, lower, upper, g, big_g, prec)

@@ -1,37 +1,42 @@
 """Rigorous real enclosures at configurable binary precision.
 
-A thin, immutable wrapper over mpmath's interval contexts: an
-:class:`IntervalReal` is a pair lo <= hi of arbitrary-precision floats
-together with the working precision that produced it.  All arithmetic
-rounds outward (lo down, hi up), so an enclosure of a point value x
-always satisfies lo <= x <= hi.
-
-Heavy inner loops should grab a context with :func:`ctx_for` and work on
-raw mpmath interval values, wrapping only their final results; casual
-formula code can use the operators on IntervalReal directly.
+One immutable type, :class:`IntervalReal`, holds one raw mpmath interval
+value of the cached context :func:`ctx_for` (prec); that context's
+precision is the working precision of every operation on it.  Each
+operator applies the raw operation once and wraps the result; operands
+meet at the larger of their two precisions, and exact ints and Fractions
+enter as the enclosure of p/q rounded once down and once up.  All
+arithmetic rounds outward (lo down, hi up), so an enclosure of a point
+value x always satisfies lo <= x <= hi.  Nothing here reads mpmath's
+global precision.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 
 import mpmath as mp
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import from_rational, round_ceiling, round_floor
+from mpmath.libmp import (
+    from_rational,
+    mpf_le,
+    mpf_sub,
+    mpi_mid,
+    round_ceiling,
+    round_floor,
+    to_float,
+)
 
 __all__ = [
     "IntervalReal",
     "ctx_for",
     "wrap",
-    "unwrap",
     "to_interval",
-    "rational_to_iv",
     "mpf_fraction",
     "pi_interval",
     "sqrt_rational_interval",
-    "exp_interval",
 ]
 
 DEFAULT_PREC = 384
@@ -54,7 +59,7 @@ def mpf_fraction(x: mp.mpf) -> Fraction:
     return Fraction(int(p), int(q))  # keep gmpy2 mpz out of Fraction internals
 
 
-def rational_to_iv(ctx: MPIntervalContext, q) -> "mp.iv.mpf":
+def _rational_to_iv(ctx: MPIntervalContext, q) -> "mp.iv.mpf":
     """Enclosure of an exact int/Fraction under ctx: p/q rounded once down
     and once up, the tightest enclosure at ctx.prec, so nested rationals
     get nested enclosures."""
@@ -66,31 +71,48 @@ def rational_to_iv(ctx: MPIntervalContext, q) -> "mp.iv.mpf":
                          from_rational(p, d, prec, round_ceiling)))
 
 
-@dataclass(frozen=True)
 class IntervalReal:
     """Enclosure [lo, hi] produced at ``prec`` bits of working precision."""
 
-    lo: mp.mpf
-    hi: mp.mpf
-    prec: int
+    __slots__ = ("_v",)
 
-    def __post_init__(self) -> None:
-        if not self.lo <= self.hi:
-            raise ValueError("interval endpoints out of order: %s > %s"
-                             % (self.lo, self.hi))
+    def __init__(self, lo, hi, prec: int) -> None:
+        ctx = ctx_for(prec)
+        a, b = ctx.mpf(lo)._mpi_[0], ctx.mpf(hi)._mpi_[1]
+        if not mpf_le(a, b):
+            raise ValueError("interval endpoints out of order: %s > %s" % (lo, hi))
+        self._v = ctx.make_mpf((a, b))
 
     # -- inspection ---------------------------------------------------------
 
     @property
+    def lo(self) -> mp.mpf:
+        return mp.make_mpf(self._v._mpi_[0])
+
+    @property
+    def hi(self) -> mp.mpf:
+        return mp.make_mpf(self._v._mpi_[1])
+
+    @property
+    def prec(self) -> int:
+        return self._v.ctx.prec
+
+    def at(self, prec: int) -> IntervalReal:
+        """The same endpoints, exactly, as an enclosure at ``prec`` bits."""
+        return wrap(ctx_for(prec).make_mpf(self._v._mpi_))
+
+    @property
     def width(self) -> mp.mpf:
-        return self.hi - self.lo
+        """hi - lo, rounded up at the interval's own precision."""
+        lo, hi = self._v._mpi_
+        return mp.make_mpf(mpf_sub(hi, lo, self.prec, round_ceiling))
 
     @property
     def mid(self) -> mp.mpf:
-        return (self.lo + self.hi) / 2
+        return mp.make_mpf(mpi_mid(self._v._mpi_, self.prec))
 
     def __float__(self) -> float:
-        return float(self.mid)
+        return to_float(mpi_mid(self._v._mpi_, self.prec))
 
     def lo_fraction(self) -> Fraction:
         return mpf_fraction(self.lo)
@@ -99,14 +121,12 @@ class IntervalReal:
         return mpf_fraction(self.hi)
 
     def contains(self, x) -> bool:
-        """Exact containment test for an int/Fraction/mpf value."""
+        """Exact containment test for an int/Fraction/float/mpf value."""
         if isinstance(x, IntervalReal):
             return self.lo_fraction() <= x.lo_fraction() and (
                 x.hi_fraction() <= self.hi_fraction()
             )
-        q = x if isinstance(x, Fraction) else (
-            Fraction(x) if isinstance(x, int) else mpf_fraction(mp.mpf(x))
-        )
+        q = mpf_fraction(x) if isinstance(x, mp.mpf) else Fraction(x)
         return self.lo_fraction() <= q <= self.hi_fraction()
 
     def straddles_zero(self) -> bool:
@@ -114,57 +134,40 @@ class IntervalReal:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _binop(self, other, op):
-        other = to_interval(other, self.prec)
-        prec = max(self.prec, other.prec)
-        ctx = ctx_for(prec)
-        a = ctx.mpf([self.lo, self.hi])
-        b = ctx.mpf([other.lo, other.hi])
-        return wrap(op(a, b), prec)
+    def _binop(self, other, op, reflected: bool = False):
+        """op(self, other), or op(other, self) when ``reflected``, at the
+        larger of the two precisions."""
+        a, b = self._v, to_interval(other, self.prec)._v
+        if a.ctx.prec < b.ctx.prec:
+            a = b.ctx.make_mpf(a._mpi_)
+        elif b.ctx.prec < a.ctx.prec:
+            b = a.ctx.make_mpf(b._mpi_)
+        return wrap(op(b, a) if reflected else op(a, b))
 
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
+    def _operators(op):
+        return (lambda self, other: self._binop(other, op),
+                lambda self, other: self._binop(other, op, reflected=True))
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return to_interval(other, self.prec) - self
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return to_interval(other, self.prec) / self
+    __add__, __radd__ = _operators(operator.add)
+    __sub__, __rsub__ = _operators(operator.sub)
+    __mul__, __rmul__ = _operators(operator.mul)
+    __truediv__, __rtruediv__ = _operators(operator.truediv)
+    del _operators
 
     def __pow__(self, n: int):
-        ctx = ctx_for(self.prec)
-        return wrap(ctx.mpf([self.lo, self.hi]) ** n, self.prec)
+        return wrap(self._v ** n)
 
     def __neg__(self):
-        return IntervalReal(lo=-self.hi, hi=-self.lo, prec=self.prec)
+        return wrap(-self._v)
 
     def __abs__(self):
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return IntervalReal(lo=mp.mpf(0), hi=max(-self.lo, self.hi), prec=self.prec)
+        return wrap(abs(self._v))
 
     def sqrt(self):
-        ctx = ctx_for(self.prec)
-        return wrap(ctx.sqrt(ctx.mpf([self.lo, self.hi])), self.prec)
+        return wrap(self._v.ctx.sqrt(self._v))
 
     def exp(self):
-        ctx = ctx_for(self.prec)
-        return wrap(ctx.exp(ctx.mpf([self.lo, self.hi])), self.prec)
+        return wrap(self._v.ctx.exp(self._v))
 
     def __repr__(self) -> str:
         return "IntervalReal([%s, %s] @%d)" % (
@@ -182,15 +185,12 @@ class IntervalReal:
         )
 
 
-def wrap(x, prec: int) -> IntervalReal:
-    """IntervalReal from a raw mpmath interval value."""
-    lo_raw, hi_raw = x._mpi_
-    return IntervalReal(lo=mp.mp.make_mpf(lo_raw), hi=mp.mp.make_mpf(hi_raw), prec=prec)
-
-
-def unwrap(x: IntervalReal, ctx: MPIntervalContext):
-    """Raw mpmath interval under ctx (exact: endpoints are preserved)."""
-    return ctx.mpf([x.lo, x.hi])
+def wrap(x) -> IntervalReal:
+    """IntervalReal holding the raw mpmath interval value x; its
+    precision is that of x's context."""
+    iv = object.__new__(IntervalReal)
+    iv._v = x
+    return iv
 
 
 def to_interval(x, prec: int = DEFAULT_PREC) -> IntervalReal:
@@ -199,25 +199,20 @@ def to_interval(x, prec: int = DEFAULT_PREC) -> IntervalReal:
         return x
     ctx = ctx_for(prec)
     if isinstance(x, (int, Fraction)):
-        return wrap(rational_to_iv(ctx, x), prec)
+        return wrap(_rational_to_iv(ctx, x))
     if isinstance(x, tuple):
         lo, hi = (to_interval(e, prec) for e in x)
         return IntervalReal(lo=lo.lo, hi=hi.hi, prec=prec)
-    return wrap(ctx.mpf(x), prec)
+    return wrap(ctx.mpf(x))
 
 
 @functools.lru_cache(maxsize=64)
 def pi_interval(prec: int = DEFAULT_PREC) -> IntervalReal:
     """Enclosure of pi, computed once per precision and cached."""
-    return wrap(ctx_for(prec).pi, prec)
+    return wrap(+ctx_for(prec).pi)
 
 
 @functools.lru_cache(maxsize=128)
 def sqrt_rational_interval(q: Fraction, prec: int = DEFAULT_PREC) -> IntervalReal:
     """Cached enclosure of sqrt(q) for exact rational q >= 0."""
-    ctx = ctx_for(prec)
-    return wrap(ctx.sqrt(rational_to_iv(ctx, Fraction(q))), prec)
-
-
-def exp_interval(x, prec: int = DEFAULT_PREC) -> IntervalReal:
-    return to_interval(x, prec).exp()
+    return to_interval(Fraction(q), prec).sqrt()

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -189,6 +190,23 @@ class TestBesselKernel:
         assert s_lo * Fraction(2) ** f_lo <= partial
         assert partial + term <= s_hi * Fraction(2) ** f_hi
         assert s_hi - s_lo < 2**12
+
+    def test_series_stops_at_last_term_that_counts(self, monkeypatch):
+        # at z = 10^4 and 144 bits every term after m = 5771 is below one
+        # unit of the sum, but the term ratio first drops below 1/2 at
+        # m = 7070; the tail bound T r/(1 - r) stops within a few terms
+        last = []
+
+        def counting_range(*args):
+            last.append(None)
+            for m in range(*args):
+                last[-1] = m
+                yield m
+
+        monkeypatch.setattr(bkd.asymptotic, "range", counting_range, raising=False)
+        bessel_i(2, 10**4, 144)
+        assert len(last) == 2
+        assert all(5771 <= m < 5800 for m in last), last
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -498,3 +516,43 @@ class TestThetaExact:
     def test_range(self, table1):
         with pytest.raises(IndexError):
             theta_exact(table1, 0)
+
+
+PINNED = Path(__file__).parent / "data" / "pinned_enclosures.txt"
+
+
+def pinned_lines() -> list[str]:
+    """One line per closed-form enclosure at 384 bits: a label, then
+    (sign, hex mantissa, exponent) of each endpoint and the precision.
+    Nothing here is built on bessel_i, so the series kernel can change
+    without touching the data."""
+    def line(label, x):
+        ends = " | ".join("%d %x %d" % e._mpf_[:3] for e in (x.lo, x.hi))
+        return "%s: %s @%d" % (label, ends, x.prec)
+
+    p, out = 384, []
+    for k in (1, 2):
+        out += [line("gamma_constants k=%d g%d" % (k, i), g)
+                for i, g in enumerate(gamma_constants(k, p), 1)]
+        for n in (3512, 15081):
+            out.append(line("x_param k=%d n=%d" % (k, n), x_param(k, n, p)))
+            rb = ratio_bounds(k, n, p)
+            out += [line("ratio_bounds k=%d n=%d %s" % (k, n, f), getattr(rb, f))
+                    for f in ("lambda_lo", "lambda_hi", "theta_lo", "theta_hi")]
+            out += [line("tail_factors k=%d n=%d %s" % (k, n, f), v)
+                    for f, v in zip(("g", "G"), tail_factors(k, n, p))]
+    for k, t in ((1, Fraction(1000)), (2, Fraction(12345, 7))):
+        out += [line("envelope_pair k=%d t=%s %s" % (k, t, f), v)
+                for f, v in zip(("phi", "Phi"), envelope_pair(k, t, p))]
+    for z in (Fraction(1484), Fraction(30001, 3)):
+        out.append(line("i2_scaled_main z=%s" % z, i2_scaled_main(z, p)))
+    return out
+
+
+class TestPinnedEnclosures:
+    def test_bit_for_bit(self):
+        # the data file holds the endpoints these formulas gave before
+        # they were written in IntervalReal operators
+        expected = PINNED.read_text().splitlines()
+        for got, want in zip(pinned_lines(), expected, strict=True):
+            assert got == want

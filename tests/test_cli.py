@@ -364,8 +364,13 @@ class TestTracedNames:
         proc = subprocess.run([sys.executable, str(tracer), str(out), "cold", "0", "--", *argv],
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode in (0, 1), proc.stderr
-        names = {json.loads(line)["name"] for line in out.read_text().splitlines()}
-        assert spans <= names
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert spans <= {rec["name"] for rec in records}
+        if "sandwich_check" in spans:
+            # the per-layer interval counters of the benchmark
+            counts = next(rec["counts"] for rec in records if rec["layer"] == "counts")
+            assert counts.get("intervals.wrap", 0) > 0, counts
+            assert counts.get("intervals.fraction", 0) > 0, counts
 
 
 class TestDeterminism:

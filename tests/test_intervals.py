@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from bkd.intervals import (
     IntervalReal,
-    exp_interval,
     mpf_fraction,
     pi_interval,
     sqrt_rational_interval,
@@ -40,6 +39,25 @@ class TestConstruction:
     def test_disordered_rejected(self):
         with pytest.raises(ValueError):
             IntervalReal(lo=mp.mpf(2), hi=mp.mpf(1), prec=64)
+
+
+class TestOwnPrecision:
+    # an 8-bit global mpmath precision must not leak into any of these
+    def test_float_is_nearest_double(self):
+        with mp.workprec(8):
+            x = to_interval(Fraction(1, 3), 128)
+            assert float(x) == 1 / 3
+            assert x.contains(x.mid)
+
+    def test_contains_float_exactly(self):
+        with mp.workprec(8):
+            assert to_interval(Fraction(0.1), 128).contains(0.1)
+            assert not to_interval(Fraction(1, 10), 128).contains(0.1)
+
+    def test_width_rounded_up(self):
+        with mp.workprec(8):
+            x = to_interval((Fraction(1, 3), 2), 128)
+            assert mpf_fraction(x.width) >= x.hi_fraction() - x.lo_fraction()
 
 
 class TestArithmetic:
@@ -84,7 +102,7 @@ class TestExpBracket:
         "s", [Fraction(-1), Fraction(-1, 2), Fraction(-1, 10), Fraction(-99, 100)]
     )
     def test_bracket(self, s):
-        e = exp_interval(s, 192)
+        e = to_interval(s, 192).exp()
         assert e.lo_fraction() > 1 + s
         assert e.hi_fraction() < 1 + s + s * s
 
