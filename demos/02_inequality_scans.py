@@ -11,11 +11,10 @@ from bkd.inequalities import (
     conjecture_threshold,
     dlog_sign,
     jensen_threshold,
-    logconcave_at,
-    theta_monotone_at,
-    turan3_at,
+    logconcave_margin,
+    theta_monotone_margin,
+    turan3_margin,
 )
-from bkd.report import Sign
 
 LIMIT = 2000
 tables = {k: delta_table(k, LIMIT + 6) for k in (1, 2)}
@@ -23,9 +22,9 @@ tables = {k: delta_table(k, LIMIT + 6) for k in (1, 2)}
 # log-concavity holds from n = 1 on; the cubic Turan inequality and the
 # ratio monotonicity pick up a little later
 for k, t in tables.items():
-    lc = [n for n in range(1, LIMIT) if logconcave_at(t, n) is not Sign.POSITIVE]
-    t3 = [n for n in range(1, LIMIT) if turan3_at(t, n) is not Sign.POSITIVE]
-    tm = [n for n in range(1, LIMIT) if theta_monotone_at(t, n) is not Sign.POSITIVE]
+    lc = [n for n in range(1, LIMIT) if logconcave_margin(t, n) <= 0]
+    t3 = [n for n in range(1, LIMIT) if turan3_margin(t, n) <= 0]
+    tm = [n for n in range(1, LIMIT) if theta_monotone_margin(t, n) <= 0]
     print("k=%d: log-concavity violations %s, cubic-Turan violations %s,"
           " ratio-monotonicity violations %s" % (k, lc, t3, tm))
 
@@ -33,9 +32,9 @@ for k, t in tables.items():
 # log-concavity), third differences go positive after a short prefix
 t1 = tables[1]
 print("\nD^2 log delta_1(n) < 0 for n=1..50:",
-      all(dlog_sign(t1, n, 2) is Sign.NEGATIVE for n in range(1, 51)))
+      all(dlog_sign(t1, n, 2) == -1 for n in range(1, 51)))
 print("D^3 log delta_1(n) signs for n=1..8:",
-      [dlog_sign(t1, n, 3).name for n in range(1, 9)])
+      [dlog_sign(t1, n, 3) for n in range(1, 9)])
 
 # empirical thresholds for the alternating-sign pattern (-1)^(r-1) D^r > 0
 for k, t in tables.items():

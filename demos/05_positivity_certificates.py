@@ -6,6 +6,7 @@ charged against a pivot term which the leading block eventually beats).
 Pi enters only through rational enclosures, so certificates stay exact.
 """
 
+import json
 from fractions import Fraction
 
 from bkd.asymptotic import theta_bound_tail_blocks
@@ -25,8 +26,8 @@ psi = psi_poly()
 diff = phi_poly() - psi
 cert_psi = certify_positive_on_ray(psi, 6)
 cert_diff = certify_positive_on_ray(diff, Fraction(33, 10))
-print("psi >= 0 on [6, oo):      ", cert_psi.to_json())
-print("phi - psi >= 0 on [3.3,oo):", cert_diff.to_json())
+print("psi >= 0 on [6, oo):      ", json.dumps(cert_psi.to_json_obj()))
+print("phi - psi >= 0 on [3.3,oo):", json.dumps(cert_diff.to_json_obj()))
 print("recheck:", cert_psi.recheck(), cert_diff.recheck())
 
 # a refutation, for contrast

@@ -51,7 +51,6 @@ __all__ = [
     "auto_prec",
     "remainder_precisions",
     "bessel_remainder_margin",
-    "bessel_remainder_check",
     "margin_outcome",
     "between",
     "general_remainder_terms",
@@ -73,16 +72,12 @@ __all__ = [
     "Z_REMAINDER_MIN",
     "X_MAIN_VALID",
     "X_THETA_VALID",
-    "N_MAIN_VALID",
-    "N_THETA_VALID",
 ]
 
 # validity thresholds of the analytic claims
 Z_REMAINDER_MIN = Fraction(759375, 512)  # (15/2)**6 / 120 = 1483.154...
 X_MAIN_VALID = 152    # size parameter for the main-term sandwich (n >= 3512)
-N_MAIN_VALID = 3512
 X_THETA_VALID = 315   # size parameter for the Theta bounds (n >= 15081)
-N_THETA_VALID = 15081
 
 
 def alpha(k: int) -> Fraction:
@@ -305,10 +300,6 @@ def margin_outcome(margin: IntervalReal) -> CheckOutcome:
     return CheckOutcome.INCONCLUSIVE
 
 
-def bessel_remainder_check(z, prec: Union[int, str, None] = None) -> CheckOutcome:
-    return margin_outcome(bessel_remainder_margin(z, prec))
-
-
 def between(lower, value, upper, strict: bool) -> CheckOutcome:
     """Decide lower <= value <= upper, or lower < value < upper when
     ``strict``, for IntervalReal enclosures and exact ints or Fractions.
@@ -528,14 +519,11 @@ def lambda_exact(k: int, n: int, prec: int = DEFAULT_PREC) -> IntervalReal:
 class RatioBounds:
     """Closed-form bounds in 1/x for Lambda and Theta at one n."""
 
-    k: int
-    n: int
     lambda_lo: IntervalReal
     lambda_hi: IntervalReal
     theta_lo: IntervalReal
     theta_hi: IntervalReal
-    lambda_valid: bool  # n >= 2
-    theta_valid: bool   # size parameter >= 315
+    theta_valid: bool  # size parameter >= 315
 
 
 def ratio_bounds(k: int, n: int, prec: int = DEFAULT_PREC) -> RatioBounds:
@@ -585,13 +573,10 @@ def ratio_bounds(k: int, n: int, prec: int = DEFAULT_PREC) -> RatioBounds:
     th_hi = common + (a / 81 * pi8 + (292 / a**3 + 5)) * u**6
 
     return RatioBounds(
-        k=k,
-        n=n,
         lambda_lo=lam_lo,
         lambda_hi=lam_hi,
         theta_lo=th_lo,
         theta_hi=th_hi,
-        lambda_valid=n >= 2,
         theta_valid=x.lo_fraction() >= X_THETA_VALID,
     )
 
@@ -700,25 +685,12 @@ class SandwichResult:
     """Outcome of one Lambda g <= Theta <= Lambda G comparison, with the
     enclosures it compared (None below the validity threshold)."""
 
-    k: int
-    n: int
     outcome: CheckOutcome
-    theta: Optional[Fraction]
-    lower: Optional[IntervalReal]
-    upper: Optional[IntervalReal]
-    g: Optional[IntervalReal]
-    big_g: Optional[IntervalReal]
-    prec: int
-
-    def to_json_obj(self) -> dict:
-        obj = {"k": self.k, "n": self.n, "outcome": self.outcome.value,
-               "prec": self.prec}
-        if self.theta is not None:
-            obj["theta"] = "%d/%d" % (self.theta.numerator, self.theta.denominator)
-        if self.lower is not None:
-            obj["lower"] = self.lower.dumps()
-            obj["upper"] = self.upper.dumps()
-        return obj
+    theta: Optional[Fraction] = None
+    lower: Optional[IntervalReal] = None
+    upper: Optional[IntervalReal] = None
+    g: Optional[IntervalReal] = None
+    big_g: Optional[IntervalReal] = None
 
 
 def sandwich_check(
@@ -737,11 +709,10 @@ def sandwich_check(
         raise IndexError("table must cover n + 1 = %d" % (n + 1))
     x = x_param(k, n, prec)
     if x.lo_fraction() < X_MAIN_VALID:
-        return SandwichResult(k, n, CheckOutcome.HYPOTHESIS_NOT_MET,
-                              None, None, None, None, None, prec)
+        return SandwichResult(CheckOutcome.HYPOTHESIS_NOT_MET)
     lam = lambda_exact(k, n, prec)
     g, big_g = tail_factors(k, n, prec)
     lower, upper = lam * g, lam * big_g
     th = theta_exact(table, n)
     outcome = between(lower, th, upper, strict=False)
-    return SandwichResult(k, n, outcome, th, lower, upper, g, big_g, prec)
+    return SandwichResult(outcome, th, lower, upper, g, big_g)

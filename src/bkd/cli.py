@@ -20,8 +20,10 @@ traceback goes to stderr; no verdict was reached).
 
 Expanded tables are cached under $BKD_CACHE_DIR (default ~/.cache/bkd),
 one file per k, and reused for any smaller N.  A file is used only when
-its k and N fit the request and its hash, which covers k, N and every
-coefficient, matches.  `bkd expand` prints the same hash as its checksum.
+its k and N fit the request, its hash, which covers the expansion
+algorithm's tag, k, N and every coefficient, matches, and its first values
+agree with the log-derivative oracle.  `bkd expand` prints the same hash as
+its checksum.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -39,7 +42,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
 
 from . import inequalities
-from .etaseries import PartitionTable, delta_table
+from .etaseries import PartitionTable, delta_oracle_logderiv, delta_table
 from .report import CheckOutcome, VerificationReport
 
 EXIT_PASS = 0
@@ -77,7 +80,8 @@ def _read_cache(path: str, k: int, N: int) -> Optional[PartitionTable]:
 
     A file is trusted only when it holds delta_k for this k, reaches at
     least N, and its stored hash equals :meth:`PartitionTable.content_hash`
-    of what it holds, which covers k, N and every coefficient.
+    of what it holds, which covers the algorithm tag, k, N and every
+    coefficient.
     """
     try:
         with open(path, "r", encoding="utf-8") as fp:
@@ -118,12 +122,20 @@ def _write_cache(path: str, table: PartitionTable) -> None:
             raise
 
 
+ORACLE_PREFIX = 200  # load_table checks delta_k(0..min(N, 200)) against the oracle
+
+
 def load_table(k: int, N: int) -> PartitionTable:
-    """Table of delta_k(0..N), reusing any cached expansion with N' >= N."""
+    """Table of delta_k(0..N), reusing any cached expansion with N' >= N.
+    Its first values must match the oracle's: a cached table that differs
+    is rebuilt, a fresh expansion that differs is an internal error."""
     path = _cache_path(k)
+    prefix = tuple(delta_oracle_logderiv(k, min(N, ORACLE_PREFIX)))
     table = _read_cache(path, k, N)
-    if table is None:
+    if table is None or table.coeffs[: len(prefix)] != prefix:
         table = delta_table(k, N)
+        if table.coeffs[: len(prefix)] != prefix:
+            raise AssertionError("delta_%d expansion differs from the oracle" % k)
         _write_cache(path, table)
     return table
 
@@ -304,7 +316,7 @@ def _parse_z_grid(spec: str) -> list[float]:
         lo, hi, count = float(lo_s), float(hi_s), int(count_s)
     except ValueError:
         raise UsageError("--z-grid expects LO:HI:COUNT")
-    if not (0 < lo <= hi) or count < 1:
+    if not (0 < lo <= hi) or not math.isfinite(hi) or count < 1:
         raise UsageError("bad z grid %r" % spec)
     if lo < asymptotic.Z_REMAINDER_MIN:
         raise UsageError(
@@ -349,27 +361,27 @@ def _verify_phi_psi(args) -> int:
 
     t0 = time.perf_counter()
     psi = positivity.psi_poly()
-    diff = positivity.phi_poly() - psi
+    report = VerificationReport(
+        check_name="phi-psi", k=args.k or 0, from_n=0, to_n=1,
+        notes="certificate indices: 0 psi>=0 on [6, oo), 1 phi-psi>=0 on [33/10, oo)",
+    )
     certs = {}
-    failures = []
-    for name, poly, threshold in (
+    for i, (name, poly, threshold) in enumerate((
         ("psi>=0", psi, Fraction(6)),
-        ("phi-psi>=0", diff, Fraction(33, 10)),
-    ):
-        result = positivity.certify_positive_on_ray(poly, threshold)
-        if isinstance(result, positivity.PositivityCertificate) and result.recheck():
+        ("phi-psi>=0", positivity.phi_poly() - psi, Fraction(33, 10)),
+    )):
+        try:
+            result = positivity.certify_positive_on_ray(poly, threshold)
+        except positivity.Inconclusive:
+            report.add(i, CheckOutcome.INCONCLUSIVE)
+            continue
+        if isinstance(result, positivity.RayRefutation):
+            report.add(i, CheckOutcome.FAIL)
+        elif result.recheck():
             certs[name] = result.to_json_obj()
         else:
-            failures.append(name)
-    report = VerificationReport(
-        check_name="phi-psi",
-        k=args.k or 0,
-        from_n=0,
-        to_n=0,
-        failures=[0] if failures else [],
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-        notes=("refuted: %s" % ", ".join(failures)) if failures else None,
-    )
+            raise AssertionError("the %s certificate fails its recheck" % name)
+    report.runtime_ms = int((time.perf_counter() - t0) * 1000)
     return _finish_report(args, report, {"certificates": certs})
 
 

@@ -43,9 +43,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import add, mul
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 __all__ = [
+    "ALGORITHM",
     "EtaQuotientSpec",
     "PartitionTable",
     "broken_diamond_spec",
@@ -53,6 +54,10 @@ __all__ = [
     "delta_table",
     "delta_oracle_logderiv",
 ]
+
+# names the expansion behind every table; content_hash covers it, so a
+# cached table built by another algorithm is never trusted
+ALGORITHM = "eta-quotient/euler-jacobi-passes/1"
 
 
 @dataclass(frozen=True)
@@ -228,15 +233,11 @@ class PartitionTable:
 
     # -- serialization ------------------------------------------------------
 
-    def write_csv(self, fp: TextIO) -> None:
-        w = csv.writer(fp, lineterminator="\n")
-        w.writerow(["n", "delta"])
-        for n, v in enumerate(self.coeffs):
-            w.writerow([n, str(v)])
-
     def to_csv(self) -> str:
         buf = io.StringIO()
-        self.write_csv(buf)
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(["n", "delta"])
+        w.writerows(enumerate(self.coeffs))
         return buf.getvalue()
 
     def to_json_obj(self) -> dict:
@@ -252,8 +253,9 @@ class PartitionTable:
         return cls(k=int(obj["k"]), N=int(obj["N"]), coeffs=coeffs)
 
     def content_hash(self) -> str:
+        """SHA-256 of the algorithm tag, k, N and every coefficient."""
         h = hashlib.sha256()
-        h.update(("%d:%d:" % (self.k, self.N)).encode())
+        h.update(("%s:%d:%d:" % (ALGORITHM, self.k, self.N)).encode())
         h.update(",".join(str(v) for v in self.coeffs).encode())
         return h.hexdigest()
 

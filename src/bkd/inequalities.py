@@ -1,15 +1,17 @@
 """Exact inequality checks on partition tables.
 
 Every decision here is an arbitrary-precision integer comparison: no
-floating point enters, so outcomes are reproducible bit for bit.  The
-checks are pure functions over an immutable :class:`~bkd.etaseries.PartitionTable`.
+floating point enters, so outcomes are reproducible bit for bit.  Each
+check is a pure function over an immutable
+:class:`~bkd.etaseries.PartitionTable` that returns an integer margin,
+positive where the inequality holds.
 
 Conventions.  With a = table.coeffs and ratios
 Theta(n) = a[n-1] a[n+1] / a[n]^2, the difference operator D acts as
 (Df)(n) = f(n+1) - f(n).  The identity
 D^3 log a(n) = log(Theta(n+2) / Theta(n+1)) fixes the index alignment
-between :func:`dlog_sign` at order 3 and :func:`theta_monotone_at`, and
-is pinned by a unit test on a four-term table.
+between :func:`dlog_sign` at order 3 and :func:`theta_monotone_margin`,
+and is pinned by a unit test on a four-term table.
 """
 
 from __future__ import annotations
@@ -20,15 +22,12 @@ from math import comb
 from typing import Callable, Optional, Union
 
 from .etaseries import PartitionTable
-from .report import CheckOutcome, Sign, VerificationReport
+from .report import CheckOutcome, VerificationReport
 
 __all__ = [
     "logconcave_margin",
-    "logconcave_at",
     "turan3_margin",
-    "turan3_at",
     "theta_monotone_margin",
-    "theta_monotone_at",
     "dlog_sign",
     "dlog_margin",
     "jensen_coeffs",
@@ -55,10 +54,6 @@ def logconcave_margin(table: PartitionTable, n: int) -> int:
     return a[n] ** 2 - a[n - 1] * a[n + 1]
 
 
-def logconcave_at(table: PartitionTable, n: int) -> Sign:
-    return Sign.of(logconcave_margin(table, n))
-
-
 def turan3_margin(table: PartitionTable, n: int) -> int:
     """Cubic Turan margin
     4 (a_n^2 - a_{n-1} a_{n+1}) (a_{n+1}^2 - a_n a_{n+2})
@@ -72,10 +67,6 @@ def turan3_margin(table: PartitionTable, n: int) -> int:
     return 4 * left * right - cross**2
 
 
-def turan3_at(table: PartitionTable, n: int) -> Sign:
-    return Sign.of(turan3_margin(table, n))
-
-
 def theta_monotone_margin(table: PartitionTable, n: int) -> int:
     """Cross-multiplied form of Theta(n) < Theta(n+1):
     a(n)^3 a(n+2) - a(n-1) a(n+1)^3, positive iff the ratio increases.
@@ -85,12 +76,8 @@ def theta_monotone_margin(table: PartitionTable, n: int) -> int:
     return a[n] ** 3 * a[n + 2] - a[n - 1] * a[n + 1] ** 3
 
 
-def theta_monotone_at(table: PartitionTable, n: int) -> Sign:
-    return Sign.of(theta_monotone_margin(table, n))
-
-
-def dlog_sign(table: PartitionTable, n: int, r: int) -> Sign:
-    """Exact sign of D^r log a(n) = sum_j (-1)^(r-j) C(r,j) log a(n+j).
+def dlog_sign(table: PartitionTable, n: int, r: int) -> int:
+    """The sign of D^r log a(n) = sum_j (-1)^(r-j) C(r,j) log a(n+j): -1, 0, 1.
 
     Decided by comparing the two integer products
     P+ = prod_{r-j even} a(n+j)^C(r,j) and P- = prod_{r-j odd} ...,
@@ -107,13 +94,13 @@ def dlog_sign(table: PartitionTable, n: int, r: int) -> Sign:
             plus *= a[n + j] ** c
         else:
             minus *= a[n + j] ** c
-    return Sign.of(plus - minus)
+    return (plus > minus) - (plus < minus)
 
 
 def dlog_margin(table: PartitionTable, r: int, n: int) -> int:
     """(-1)^(r-1) times the sign of D^r log a(n): 1 where the alternating
     sign pattern holds at n, else 0 or -1."""
-    return (1 if r % 2 else -1) * dlog_sign(table, n, r).value
+    return (1 if r % 2 else -1) * dlog_sign(table, n, r)
 
 
 def jensen_coeffs(table: PartitionTable, d: int, n: int) -> list[int]:

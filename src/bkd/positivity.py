@@ -21,7 +21,6 @@ Certification methods:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, isqrt
@@ -189,9 +188,6 @@ class PolyQ:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def uses_pi(self) -> bool:
         return any(p != 0 for c in self.coeffs for p, _ in c)
 
@@ -245,9 +241,6 @@ class PolyQ:
                     }
                 )
         return {"degree": self.degree, "coefficients": entries}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
 def _as_fraction_list(p) -> Optional[list[Fraction]]:
@@ -366,7 +359,7 @@ def _sign_at(p: Sequence[int], x: Fraction) -> int:
 
 
 def _variations(chain: list[list[int]], x: Optional[Fraction], at: int = 0) -> int:
-    """Sign variations of the chain at x; at=-1/+1 means -inf/+inf.
+    """Number of sign variations of the chain at x; at=-1/+1 means -inf/+inf.
 
     Zeros are dropped from the sign sequence, which makes V(a) - V(b)
     count distinct roots over the half-open interval (a, b].
@@ -548,7 +541,9 @@ def sturm_count(
 
 @dataclass
 class PositivityCertificate:
-    """Re-checkable witness that a polynomial is positive on [x0, oo)."""
+    """Witness that a polynomial is positive on [x0, oo): a STURM
+    certificate of :func:`certify_positive_on_ray`, which :meth:`recheck`
+    re-derives, or the DOMINATION threshold of :func:`domination_threshold`."""
 
     method: str  # "STURM" or "DOMINATION"
     threshold: Fraction
@@ -561,9 +556,6 @@ class PositivityCertificate:
             "x0": str(self.threshold),
             "witness": self.witness,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
     def recheck(self) -> bool:
         """Re-derive the stored witness data from scratch."""
@@ -686,33 +678,6 @@ def certify_positive_on_ray(p, x0: Rational, pi_bits: int = 256):
 # Coefficient domination
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DominationCertificate:
-    """Threshold certificate from the two-step tail-domination argument.
-
-    Certifies that for all x >= threshold:
-      (i)  bound_j * x^j <= pivot_bound * x^pivot for every dominated j,
-      (ii) -count * pivot_bound * x^pivot + sum(leading terms) > 0,
-    hence any polynomial whose low-order coefficients obey the given
-    bounds and whose leading block matches is positive for x >= threshold.
-    """
-
-    threshold: Fraction
-    pivot: int
-    count: int
-    witness: dict
-
-    def to_json_obj(self) -> dict:
-        return {
-            "method": "DOMINATION",
-            "x0": str(self.threshold),
-            "witness": self.witness,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
-
-
 def _shifted_coeffs(terms: dict[int, QPair], shift: Fraction) -> list[QPair]:
     """Interval coefficients of q(shift + s) in s, for q = sum terms."""
     deg = max(terms)
@@ -732,8 +697,14 @@ def domination_threshold(
     count: Optional[int] = None,
     denom_bits: int = 10,
     hunt_limit: int = 1 << 64,
-) -> DominationCertificate:
+) -> PositivityCertificate:
     """Smallest certified threshold x* for the tail-domination argument.
+
+    The certificate (method DOMINATION) states that for all x >= x*:
+      (i)  bound_j * x^j <= pivot_bound * x^pivot for every dominated j,
+      (ii) -count * pivot_bound * x^pivot + sum(leading terms) > 0,
+    hence any polynomial whose low-order coefficients obey the given
+    bounds and whose leading block matches is positive for x >= x*.
 
     ``low_bounds``  -- (index j, upper bound on |c_j|) for every j < pivot.
     ``pivot_bound`` -- exact magnitude of the pivot coefficient.
@@ -809,9 +780,7 @@ def domination_threshold(
         "dominated_indices": sorted(j for j, _ in lows),
         "shifted_nonnegative_at": str(x_star),
     }
-    return DominationCertificate(
-        threshold=x_star, pivot=pivot, count=count, witness=witness
-    )
+    return PositivityCertificate(method="DOMINATION", threshold=x_star, witness=witness)
 
 
 # ---------------------------------------------------------------------------

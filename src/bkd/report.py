@@ -1,4 +1,8 @@
-"""Shared result types: three-way signs, check outcomes, range reports."""
+"""Shared result types: check outcomes and range reports.
+
+An exact check answers with its integer margin, a failure when <= 0; an
+interval or certificate check answers with a :class:`CheckOutcome`.
+"""
 
 from __future__ import annotations
 
@@ -8,30 +12,14 @@ import io
 from dataclasses import dataclass, field
 from typing import Optional
 
-__all__ = ["Sign", "CheckOutcome", "VerificationReport"]
-
-
-class Sign(enum.Enum):
-    """Trichotomy outcome of an exact integer comparison."""
-
-    NEGATIVE = -1
-    ZERO = 0
-    POSITIVE = 1
-
-    @classmethod
-    def of(cls, value: int) -> "Sign":
-        if value > 0:
-            return cls.POSITIVE
-        if value < 0:
-            return cls.NEGATIVE
-        return cls.ZERO
+__all__ = ["CheckOutcome", "VerificationReport"]
 
 
 class CheckOutcome(enum.Enum):
-    """Result of an interval-arithmetic comparison.
+    """Result of an interval comparison or a certificate check.
 
-    INCONCLUSIVE means the enclosures were too wide to decide a strict
-    inequality: a precision problem, not a mathematical failure.
+    INCONCLUSIVE means the enclosures were too wide to decide: a precision
+    problem, not a mathematical failure.
     HYPOTHESIS_NOT_MET marks inputs outside a claim's validity range,
     where no verdict is asserted at all.
     """

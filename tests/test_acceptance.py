@@ -23,9 +23,9 @@ from bkd.etaseries import delta_oracle_logderiv, delta_table
 from bkd.inequalities import (
     conjecture_threshold,
     jensen_threshold,
-    logconcave_at,
-    theta_monotone_at,
-    turan3_at,
+    logconcave_margin,
+    theta_monotone_margin,
+    turan3_margin,
 )
 from bkd.positivity import (
     PositivityCertificate,
@@ -36,7 +36,7 @@ from bkd.positivity import (
     psi_poly,
     sturm_count,
 )
-from bkd.report import CheckOutcome, Sign
+from bkd.report import CheckOutcome
 
 SCAN_LIMIT = 5000
 SCAN_TABLE_N = 5005  # covers turan3 (+2) and jensen up to d=5
@@ -97,7 +97,7 @@ def test_criterion_03_higher_order_turan():
     for k in (1, 2):
         table = delta_table(k, SCAN_TABLE_N)
         bad += [(k, n) for n in range(6, SCAN_LIMIT + 1)
-                if turan3_at(table, n) is not Sign.POSITIVE]
+                if turan3_margin(table, n) <= 0]
     elapsed = time.perf_counter() - t0
     assert report("03-turan3", not bad and elapsed < 60, elapsed,
                   "k in {1,2}, 6 <= n <= 5000, zero tolerance, incl. build")
@@ -106,13 +106,13 @@ def test_criterion_03_higher_order_turan():
 def test_criterion_04_ratio_monotonicity(scan1, scan2):
     t0 = time.perf_counter()
     bad = [n for n in range(5, SCAN_LIMIT + 1)
-           if theta_monotone_at(scan1, n) is not Sign.POSITIVE]
+           if theta_monotone_margin(scan1, n) <= 0]
     bad += [n for n in range(7, SCAN_LIMIT + 1)
-            if theta_monotone_at(scan2, n) is not Sign.POSITIVE]
+            if theta_monotone_margin(scan2, n) <= 0]
     below1 = [n for n in range(1, 5)
-              if theta_monotone_at(scan1, n) is not Sign.POSITIVE]
+              if theta_monotone_margin(scan1, n) <= 0]
     below2 = [n for n in range(1, 7)
-              if theta_monotone_at(scan2, n) is not Sign.POSITIVE]
+              if theta_monotone_margin(scan2, n) <= 0]
     elapsed = time.perf_counter() - t0
     # violations below the thresholds are reported, not asserted
     assert report("04-theta-monotone", not bad and elapsed < 30, elapsed,
@@ -124,7 +124,7 @@ def test_criterion_05_log_concavity(scan1, scan2):
     bad = []
     for table in (scan1, scan2):
         bad += [(table.k, n) for n in range(1, SCAN_LIMIT + 1)
-                if logconcave_at(table, n) is not Sign.POSITIVE]
+                if logconcave_margin(table, n) <= 0]
     elapsed = time.perf_counter() - t0
     assert report("05-log-concavity", not bad and elapsed < 10, elapsed,
                   "k in {1,2}, 1 <= n <= 5000")
@@ -234,7 +234,7 @@ def test_criterion_12_jensen_scans(scan1, scan2):
         consistent = consistent and d2_threshold == 0 and not d2_report.failures
         _, d3_report = jensen_threshold(table, 3, SCAN_LIMIT)
         turan_violations = [n for n in range(1, SCAN_LIMIT + 1)
-                            if turan3_at(table, n) is not Sign.POSITIVE]
+                            if turan3_margin(table, n) <= 0]
         consistent = consistent and d3_report.failures == [
             n - 1 for n in turan_violations
         ]
@@ -267,10 +267,10 @@ def test_supplement_paper_checked_ranges():
     t0 = time.perf_counter()
     t1 = delta_table(1, BIG_TABLE_N)
     t2 = delta_table(2, BIG_TABLE_N)
-    bad = [n for n in range(5, 15081) if theta_monotone_at(t1, n) is not Sign.POSITIVE]
-    bad += [n for n in range(7, 15081) if theta_monotone_at(t2, n) is not Sign.POSITIVE]
+    bad = [n for n in range(5, 15081) if theta_monotone_margin(t1, n) <= 0]
+    bad += [n for n in range(7, 15081) if theta_monotone_margin(t2, n) <= 0]
     for t in (t1, t2):
-        bad += [n for n in range(6, 15081) if turan3_at(t, n) is not Sign.POSITIVE]
+        bad += [n for n in range(6, 15081) if turan3_margin(t, n) <= 0]
     elapsed = time.perf_counter() - t0
     assert report("paper-checked-ranges", not bad, elapsed,
                   "ratio monotonicity and cubic Turan exact to n = 15080")

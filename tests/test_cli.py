@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -145,6 +147,28 @@ class TestVerify:
         assert code == 0
         obj = json.loads(out)
         assert set(obj["certificates"]) == {"psi>=0", "phi-psi>=0"}
+
+    def test_phi_psi_wide_pi_is_inconclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(positivity, "pi_bounds", lambda bits=256: (Fraction(3), Fraction(4)))
+        code, out, _ = run(capsys, "verify", "phi-psi", "--format", "json")
+        assert code == 2
+        obj = json.loads(out)
+        assert (obj["from"], obj["to"]) == (0, 1)
+        assert obj["inconclusive"] == [0, 1] and obj["failures"] == []
+
+    def test_phi_psi_failed_recheck_is_internal(self, capsys, monkeypatch):
+        monkeypatch.setattr(positivity.PositivityCertificate, "recheck", lambda self: False)
+        code, out, err = run(capsys, "verify", "phi-psi", "--format", "json")
+        assert code == 4 and out == ""
+        assert "AssertionError: the psi>=0 certificate fails its recheck" in err
+
+    def test_phi_psi_refutation(self, capsys, monkeypatch):
+        monkeypatch.setattr(positivity, "psi_poly", lambda: positivity.PolyQ.make([1, -1]))
+        monkeypatch.setattr(positivity, "phi_poly", lambda: positivity.PolyQ.make([0, 1, -1]))
+        code, out, _ = run(capsys, "verify", "phi-psi", "--format", "json")
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["failures"] == [0, 1] and obj["certificates"] == {}
 
     def test_margins_csv(self, capsys):
         code, out, _ = run(
@@ -455,6 +479,39 @@ class TestCache:
         assert "sha256=%s" % delta_table(1, 20).content_hash() in err
         assert obj["sha256"] == delta_table(1, 20).content_hash()
 
+    def test_hashed_wrong_value_caught_by_oracle(self, capsys, cache_dir):
+        run(capsys, "expand", "--k", "1", "--n", "30")
+        path = cache_dir / "delta_k1.json"
+        obj = json.loads(path.read_text())
+        obj["coeffs"][5] = "999"
+        obj["sha256"] = PartitionTable.from_json_obj(obj).content_hash()
+        path.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "expand", "--k", "1", "--n", "10", "--format", "csv")
+        assert code == 0
+        assert "5,75" in out.splitlines()
+        assert json.loads(path.read_text())["coeffs"][5] == "75"  # rewritten
+
+    def test_hash_without_algorithm_tag_rejected(self, capsys, cache_dir):
+        run(capsys, "expand", "--k", "1", "--n", "300")
+        path = cache_dir / "delta_k1.json"
+        obj = json.loads(path.read_text())
+        obj["coeffs"][250] = str(int(obj["coeffs"][250]) + 1)  # past the oracle prefix
+        untagged = "1:300:" + ",".join(obj["coeffs"])
+        obj["sha256"] = hashlib.sha256(untagged.encode()).hexdigest()
+        path.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "expand", "--k", "1", "--n", "300", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[251] == "250,%s" % delta_table(1, 300)[250]
+
+    def test_fresh_table_checked_against_oracle(self, capsys, monkeypatch):
+        table = delta_table(1, 20)
+        coeffs = table.coeffs[:7] + (table.coeffs[7] + 1,) + table.coeffs[8:]
+        monkeypatch.setattr("bkd.cli.delta_table",
+                            lambda k, N: PartitionTable(k=k, N=N, coeffs=coeffs))
+        code, _, err = run(capsys, "expand", "--k", "1", "--n", "20")
+        assert code == 4
+        assert "AssertionError: delta_1 expansion differs from the oracle" in err
+
     def test_stale_temp_path_does_not_block_write(self, capsys, cache_dir):
         (cache_dir / "delta_k1.json.tmp").mkdir(parents=True)
         code, _, _ = run(capsys, "expand", "--k", "1", "--n", "20")
@@ -494,6 +551,8 @@ class TestUsage:
         ("verify", "sandwich", "--k", "3", "--from", "5", "--to", "7"),
         ("verify", "sandwich", "--k", "1", "--from", "1", "--to", "3", "--format", "csv"),
         ("scan", "conjecture", "--k", "1", "--r", "0", "--to", "50"),
+        ("verify", "bessel", "--z-grid", "1484:inf:3"),
+        ("verify", "bessel", "--z-grid", "1484:1e400:2"),
     ])
     def test_out_of_range_arguments(self, capsys, argv):
         code, _, err = run(capsys, *argv)

@@ -6,13 +6,11 @@ from bkd.inequalities import (
     dlog_sign,
     jensen_coeffs,
     jensen_hyperbolic,
-    logconcave_at,
     logconcave_margin,
     scan_check,
-    theta_monotone_at,
-    turan3_at,
+    theta_monotone_margin,
+    turan3_margin,
 )
-from bkd.report import Sign
 
 
 def toy(*coeffs):
@@ -28,52 +26,51 @@ class TestLogConcave:
         t = delta_table(1, 10)
         assert logconcave_margin(t, 1) == 3**2 - 1 * 8 == 1
         assert logconcave_margin(t, 2) == 8**2 - 3 * 18 == 10
-        assert logconcave_at(t, 1) is Sign.POSITIVE
+        assert logconcave_margin(t, 1) > 0
 
     def test_constant_table_zero(self):
-        assert logconcave_at(CONSTANT, 1) is Sign.ZERO
+        assert logconcave_margin(CONSTANT, 1) == 0
 
     def test_range_check(self):
         with pytest.raises(IndexError):
-            logconcave_at(delta_table(1, 10), 10)
+            logconcave_margin(delta_table(1, 10), 10)
 
 
 class TestTuran3:
     def test_paper_start(self, table1, table2):
-        assert turan3_at(table1, 6) is Sign.POSITIVE
-        assert turan3_at(table2, 6) is Sign.POSITIVE
+        assert turan3_margin(table1, 6) > 0
+        assert turan3_margin(table2, 6) > 0
 
     def test_geometric_zero(self):
         # log-linear sequences annihilate both factors and the bracket
-        assert turan3_at(GEOMETRIC, 1) is Sign.ZERO
+        assert turan3_margin(GEOMETRIC, 1) == 0
 
     def test_early_violations_k1(self, table1):
-        signs = {n: turan3_at(table1, n) for n in range(1, 6)}
-        assert [n for n, s in signs.items() if s is not Sign.POSITIVE] == [2, 4]
+        assert [n for n in range(1, 6) if turan3_margin(table1, n) <= 0] == [2, 4]
 
 
 class TestThetaMonotone:
     def test_paper_start(self, table1, table2):
-        assert theta_monotone_at(table1, 5) is Sign.POSITIVE
-        assert theta_monotone_at(table2, 7) is Sign.POSITIVE
+        assert theta_monotone_margin(table1, 5) > 0
+        assert theta_monotone_margin(table2, 7) > 0
 
     def test_geometric_zero(self):
-        assert theta_monotone_at(GEOMETRIC, 1) is Sign.ZERO
+        assert theta_monotone_margin(GEOMETRIC, 1) == 0
 
     def test_early_violations(self, table1, table2):
-        assert [n for n in range(1, 5) if theta_monotone_at(table1, n) is not Sign.POSITIVE] == [1, 3]
-        assert [n for n in range(1, 7) if theta_monotone_at(table2, n) is not Sign.POSITIVE] == [5]
+        assert [n for n in range(1, 5) if theta_monotone_margin(table1, n) <= 0] == [1, 3]
+        assert [n for n in range(1, 7) if theta_monotone_margin(table2, n) <= 0] == [5]
 
 
 class TestDlogSign:
     def test_r3_start(self, table1):
-        assert dlog_sign(table1, 4, 3) is Sign.POSITIVE
+        assert dlog_sign(table1, 4, 3) == 1
 
     def test_r2_always_negative(self, table1):
-        assert all(dlog_sign(table1, n, 2) is Sign.NEGATIVE for n in range(1, 60))
+        assert all(dlog_sign(table1, n, 2) == -1 for n in range(1, 60))
 
     def test_r1_constant_zero(self):
-        assert dlog_sign(CONSTANT, 0, 1) is Sign.ZERO
+        assert dlog_sign(CONSTANT, 0, 1) == 0
 
     def test_r0_rejected(self, table1):
         with pytest.raises(ValueError):
@@ -88,7 +85,8 @@ class TestDlogSign:
         # D^3 log a(m) decides Theta(m+1) < Theta(m+2): same integer
         # comparison as the ratio-monotonicity margin at m+1
         t = toy(*coeffs)
-        assert dlog_sign(t, 0, 3) is theta_monotone_at(t, 1)
+        margin = theta_monotone_margin(t, 1)
+        assert dlog_sign(t, 0, 3) == (margin > 0) - (margin < 0)
 
 
 class TestConjectureThreshold:
@@ -123,12 +121,12 @@ class TestJensen:
 
     def test_degree2_matches_logconcavity(self, table1):
         for n in range(0, 40):
-            expected = logconcave_at(table1, n + 1) is not Sign.NEGATIVE
+            expected = logconcave_margin(table1, n + 1) >= 0
             assert jensen_hyperbolic(table1, 2, n) == expected
 
     def test_degree2_zero_discriminant(self):
         # constant table: the quadratic is (1 + X)^2, a double real root
-        assert logconcave_at(CONSTANT, 1) is Sign.ZERO
+        assert logconcave_margin(CONSTANT, 1) == 0
         assert jensen_hyperbolic(CONSTANT, 2, 0)
 
     def test_degree3_matches_turan3(self, table1):
@@ -136,7 +134,7 @@ class TestJensen:
         # given strict log-concavity around n (true for these tables)
         for n in range(1, 40):
             assert jensen_hyperbolic(table1, 3, n - 1) == (
-                turan3_at(table1, n) is Sign.POSITIVE
+                turan3_margin(table1, n) > 0
             )
 
     def test_coefficients(self, table1):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bkd import positivity
 from bkd.inequalities import jensen_coeffs
 from bkd.positivity import (
-    DominationCertificate,
     Inconclusive,
     PolyQ,
     PositivityCertificate,
@@ -287,7 +286,7 @@ class TestDomination:
         cert = domination_threshold(
             [(0, 0)], 1, Fraction(0), [(2, Fraction(1))], count=1, denom_bits=0
         )
-        assert isinstance(cert, DominationCertificate)
+        assert isinstance(cert, PositivityCertificate) and cert.method == "DOMINATION"
         assert cert.threshold == 1
 
     def test_textbook_quadratic_block(self):
