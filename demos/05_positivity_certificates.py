@@ -1,18 +1,18 @@
 """Exact positivity certificates on rays.
 
-Two mechanisms: Sturm counts (no roots beyond the threshold plus a
-positive value there) and coefficient domination (low-order terms are
-charged against a pivot term which the leading block eventually beats).
-Pi enters only through rational enclosures, so certificates stay exact.
+One mechanism: the Taylor shift.  When every coefficient of p(x0 + y),
+enclosed over a rational pi interval, has a nonnegative lower end and the
+constant term is positive, p > 0 on [x0, oo) for every pi in the
+interval.  A point where the enclosure of p lies below zero refutes the
+claim instead.  Sturm counts of rational polynomials locate the roots of
+the ratio-gap quadratic.
 """
 
 import json
 from fractions import Fraction
 
-from bkd.asymptotic import theta_bound_tail_blocks
 from bkd.positivity import (
     certify_positive_on_ray,
-    domination_threshold,
     lemma_quadratic,
     lemma_uv_check,
     phi_poly,
@@ -32,22 +32,6 @@ print("recheck:", cert_psi.recheck(), cert_diff.recheck())
 
 # a refutation, for contrast
 print("\n1 - x on [2, oo):", certify_positive_on_ray([1, -1], 2).to_json_obj())
-
-# domination certificates for the tail polynomials behind the Theta
-# bounds; only the leading coefficients are printed, the low-order ones
-# enter through user-supplied magnitude bounds
-for k in (1, 2):
-    blocks = theta_bound_tail_blocks(k)
-    up = blocks["upper"]
-    lows = [(j, up["pivot_bound"][1] * 7 ** (17 - j)) for j in range(17)]
-    cert_u = domination_threshold(lows, up["pivot"], up["pivot_bound"],
-                                  sorted(up["leading"].items()), count=up["count"])
-    lo = blocks["lower"]
-    lows = [(j, lo["pivot_bound"][1] * 3 ** (19 - j)) for j in range(19)]
-    cert_l = domination_threshold(lows, lo["pivot"], lo["pivot_bound"],
-                                  sorted(lo["leading"].items()), count=lo["count"])
-    print("\nk=%d tail thresholds: upper block %.3f, lower block %.3f"
-          " (both certified <= 315)" % (k, cert_u.threshold, cert_l.threshold))
 
 # the quadratic from the ratio-gap lemma: both roots inside (0, 1),
 # straddling u, for every u in [15/16, 1)

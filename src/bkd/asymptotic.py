@@ -630,56 +630,6 @@ def tail_factors(
     return g, big_g
 
 
-# ---------------------------------------------------------------------------
-# Tail data for the Theta-bound domination certificates
-# ---------------------------------------------------------------------------
-
-def theta_bound_tail_blocks(k: int, bits: int = 192) -> dict:
-    """Leading-coefficient data of the two tail polynomials behind the
-    Theta bounds, as exact rational enclosures ready for
-    :func:`bkd.positivity.domination_threshold`.
-
-    The upper-bound reduction ends in a degree-19 polynomial with
-
-        c19 = 360 pi^8 a^(7/2),  c18 = -2349 pi^8 a^3,
-        c17 = 2025 pi^8 a^(5/2) + 3240 pi^4 a^(7/2) + 189216 pi^4 a^(1/2),
-
-    pivot 17, count 17; the lower-bound one in a degree-21 polynomial with
-
-        d21 = 349920 a^3,  d20 = -6480 pi^8 a^(7/2),  d19 = 24300 pi^8 a^3,
-
-    pivot 19, count 19 (a = alpha_k).  Only these leading coefficients are
-    printed; bounds for the dominated low-order coefficients are the
-    caller's input to the domination mechanism.
-    """
-    from .positivity import pi_bounds, q_add, q_mul, q_pow, q_scale, sqrt_bounds
-
-    a = alpha(k)
-    pi_q = pi_bounds(bits)
-    pi4 = q_pow(pi_q, 4)
-    pi8 = q_pow(pi_q, 8)
-    sa = sqrt_bounds(a, bits)
-
-    c19 = q_scale(q_mul(pi8, sa), 360 * a**3)
-    c18 = q_scale(pi8, -2349 * a**3)
-    c17 = q_add(
-        q_scale(q_mul(pi8, sa), 2025 * a**2),
-        q_add(
-            q_scale(q_mul(pi4, sa), 3240 * a**3),
-            q_scale(q_mul(pi4, sa), 189216),
-        ),
-    )
-    d21 = (Fraction(349920) * a**3, Fraction(349920) * a**3)
-    d20 = q_scale(q_mul(pi8, sa), -6480 * a**3)
-    d19 = q_scale(pi8, 24300 * a**3)
-    return {
-        "upper": {"pivot": 17, "count": 17, "pivot_bound": c17,
-                  "leading": {18: c18, 19: c19}},
-        "lower": {"pivot": 19, "count": 19, "pivot_bound": d19,
-                  "leading": {20: d20, 21: d21}},
-    }
-
-
 @dataclass(frozen=True)
 class SandwichResult:
     """Outcome of one Lambda g <= Theta <= Lambda G comparison, with the

@@ -11,8 +11,8 @@ Each range check of `verify` is a row of the table CHECKS, run by the one
 loop inequalities.scan_check.  Every `verify` report has the same keys;
 `pass` means no failure and no inconclusive point (points below a claim's
 validity range are skipped).  With --format csv, sandwich and theta-bounds
-print their enclosures per n, and exact checks given --margins the n,margin
-integers they compared.
+print their enclosures per n, and exact checks, which need --margins for
+it, the n,margin integers they compared; bessel and phi-psi have no CSV.
 
 Exit codes: 0 all checks pass, 1 mathematical counterexample found,
 2 precision-inconclusive outcome, 3 usage error, 4 internal error (the
@@ -388,12 +388,12 @@ def _verify_phi_psi(args) -> int:
 def _finish_report(args, report: VerificationReport, extra: Optional[dict] = None,
                    csv_text: Optional[str] = None) -> int:
     """Print the report, with the check-specific keys ``extra``, and return
-    its exit code.  CSV is ``csv_text``, else the margins, else text."""
-    obj = report.to_json_obj()
-    obj.update(extra or {})
-    if args.format == "csv" and (csv_text or report.margins is not None):
+    its exit code.  CSV is ``csv_text``, else the margins."""
+    if args.format == "csv":
         _emit(csv_text or report.margins_csv(), args.out)
     else:
+        obj = report.to_json_obj()
+        obj.update(extra or {})
         _emit(_report_text(obj, args.format), args.out)
     return report.exit_code
 
@@ -403,6 +403,10 @@ def _cmd_verify(args) -> int:
         raise UsageError(
             "unknown check %r (choose from %s)" % (args.check, ", ".join(ALL_CHECKS))
         )
+    check = CHECKS.get(args.check)
+    if args.format == "csv" and not (check and (check.interval or args.margins)):
+        raise UsageError("verify %s has no CSV output%s"
+                         % (args.check, " without --margins" if check else ""))
     if args.check == "bessel":
         return _verify_bessel(args)
     if args.check == "phi-psi":
@@ -411,7 +415,7 @@ def _cmd_verify(args) -> int:
         raise UsageError("--k is required for this check")
     if args.to is None:
         raise UsageError("--to is required for this check")
-    return _verify_range(args, CHECKS[args.check])
+    return _verify_range(args, check)
 
 
 # ---------------------------------------------------------------------------

@@ -9,19 +9,21 @@ every decision either holds for the whole enclosure or is reported as
 
 Certification methods:
 
-* Sturm counts: zero real roots beyond a threshold plus a positive value
-  at the threshold certify positivity on the ray.
+* Taylor shift (:func:`certify_positive_on_ray`): the coefficients of
+  p(x0 + y), enclosed over the whole pi interval, all have nonnegative
+  lower ends and the constant term's lower end is positive, so p > 0 on
+  [x0, oo) for every pi in the enclosure (Descartes' rule with no sign
+  variation; Collins & Akritas, SYMSAC 1976).  Refutations are points
+  where the enclosure of p lies below zero; Sturm counts of rational
+  polynomials only choose where to look for them.
 * Hyperbolicity: the leading-coefficient signs of one reduced subresultant
   chain of p and p', with a Sturm/gcd fallback (:func:`is_hyperbolic`).
-* Coefficient domination: every low-order coefficient is bounded by a
-  pivot term, and the few leading terms beat ``count`` copies of the
-  pivot from some threshold on; the threshold is certified by a Taylor
-  shift with nonnegative shifted coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Context
 from fractions import Fraction
 from math import comb, gcd, isqrt
 from typing import Iterable, Optional, Sequence, Union
@@ -34,10 +36,8 @@ __all__ = [
     "pi_bounds",
     "sqrt_bounds",
     "sturm_count",
-    "count_real_roots",
     "is_hyperbolic",
     "certify_positive_on_ray",
-    "domination_threshold",
     "lemma_uv_check",
     "tau_positivity_check",
     "lemma_quadratic",
@@ -50,7 +50,8 @@ QPair = tuple[Fraction, Fraction]
 
 
 class Inconclusive(Exception):
-    """A sign/count could not be decided from the given enclosures."""
+    """Neither a certificate nor a refutation was found: the enclosures
+    are too wide, or the Taylor shift at x0 has a sign variation."""
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +94,6 @@ def sqrt_bounds(x: Rational, bits: int = 256) -> QPair:
     lo = Fraction(i, den)
     hi = Fraction(i + 1, den)
     return lo, hi
-
-
-def as_qpair(x) -> QPair:
-    """Coerce an exact rational or a (lo, hi) pair to a rational interval."""
-    if isinstance(x, tuple):
-        lo, hi = Fraction(x[0]), Fraction(x[1])
-        if lo > hi:
-            raise ValueError("interval endpoints out of order")
-        return lo, hi
-    v = Fraction(x)
-    return v, v
 
 
 def q_add(a: QPair, b: QPair) -> QPair:
@@ -358,8 +348,9 @@ def _sign_at(p: Sequence[int], x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _variations(chain: list[list[int]], x: Optional[Fraction], at: int = 0) -> int:
-    """Number of sign variations of the chain at x; at=-1/+1 means -inf/+inf.
+def _variations(chain: list[list[int]], x: Optional[Fraction], side: int) -> int:
+    """Number of sign variations of the chain at x; x = None means the
+    infinity on ``side`` (-1 or +1).
 
     Zeros are dropped from the sign sequence, which makes V(a) - V(b)
     count distinct roots over the half-open interval (a, b].
@@ -368,13 +359,11 @@ def _variations(chain: list[list[int]], x: Optional[Fraction], at: int = 0) -> i
     for q in chain:
         if not q:
             continue
-        if at > 0:
-            s = (q[-1] > 0) - (q[-1] < 0)
-        elif at < 0:
-            lc = q[-1] if (len(q) - 1) % 2 == 0 else -q[-1]
-            s = (lc > 0) - (lc < 0)
-        else:
+        if x is not None:
             s = _sign_at(q, x)
+        else:
+            lc = q[-1] if side > 0 or (len(q) - 1) % 2 == 0 else -q[-1]
+            s = (lc > 0) - (lc < 0)
         if s:
             signs.append(s)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -387,40 +376,11 @@ def _squarefree_part(p: list[int]) -> list[int]:
     return _exact_div(p, g)
 
 
-def _count_squarefree_roots(
-    p: list[int], lo: Optional[Fraction], hi: Optional[Fraction]
-) -> int:
-    """Real roots of the squarefree integer polynomial p in (lo, hi]."""
-    if len(p) <= 1:
-        return 0
-    chain = _sturm_chain(p)
-    va = _variations(chain, lo, at=0 if lo is not None else -1)
-    vb = _variations(chain, hi, at=0 if hi is not None else +1)
-    return va - vb
-
-
-def _count_int_roots(p: list[int], lo: Optional[Fraction], hi: Optional[Fraction]) -> int:
-    """Distinct real roots of the integer polynomial p in (lo, hi]."""
-    if not any(p):
-        raise ValueError("zero polynomial has no root count")
-    return _count_squarefree_roots(_squarefree_part(p), lo, hi)
-
-
-def count_real_roots(
-    coeffs: Sequence[Rational],
-    lo: Optional[Rational] = None,
-    hi: Optional[Rational] = None,
-) -> int:
-    """Distinct real roots of a rational polynomial in (lo, hi].
-
-    ``None`` endpoints mean -infinity / +infinity respectively.
-    """
-    p = _clear_denominators([Fraction(c) for c in coeffs])
-    return _count_int_roots(
-        p,
-        None if lo is None else Fraction(lo),
-        None if hi is None else Fraction(hi),
-    )
+def _count_between(chain: list[list[int]], lo: Optional[Fraction],
+                   hi: Optional[Fraction]) -> int:
+    """Roots in (lo, hi] of the squarefree polynomial whose Sturm chain
+    is ``chain``; None endpoints are infinite."""
+    return _variations(chain, lo, -1) - _variations(chain, hi, +1)
 
 
 def _prem_step(f: list[int], g: list[int]) -> list[int]:
@@ -482,7 +442,7 @@ def _sturm_hyperbolic(p: list[int]) -> bool:
     counts of its squarefree part and a recursion on gcd(p, p')."""
     g = _poly_gcd(p, _deriv(p))
     h = p if len(g) <= 1 else _exact_div(p, g)
-    if _count_squarefree_roots(h, None, None) != len(h) - 1:
+    if _count_between(_sturm_chain(h), None, None) != len(h) - 1:
         return False
     return len(g) <= 1 or is_hyperbolic(g)
 
@@ -507,48 +467,78 @@ def is_hyperbolic(coeffs: Sequence[Rational]) -> bool:
     return _sturm_hyperbolic(p) if verdict is None else verdict
 
 
+def _rational_chain(coeffs: Sequence[Fraction]) -> list[list[int]]:
+    """Sturm chain of the squarefree part of a nonzero rational polynomial."""
+    p = _trim(_clear_denominators(coeffs))
+    if not p:
+        raise ValueError("zero polynomial has no root count")
+    return _sturm_chain(_squarefree_part(p))
+
+
 def sturm_count(
     p,
     a: Optional[Rational] = None,
     b: Optional[Rational] = None,
-    pi_bits: int = 256,
 ) -> int:
-    """Distinct real roots of p in (a, b]; None endpoints are infinite.
-
-    For polynomials whose coefficients involve powers of pi, the count is
-    run at both endpoints of a rational pi enclosure; disagreement raises
-    :class:`Inconclusive` and the caller should widen ``pi_bits``.
-    """
+    """Distinct real roots of the rational polynomial p in (a, b]; None
+    endpoints are infinite.  A :class:`PolyQ` with pi terms is rejected."""
     plain = _as_fraction_list(p)
-    lo = None if a is None else Fraction(a)
-    hi = None if b is None else Fraction(b)
-    if plain is not None:
-        return count_real_roots(plain, lo, hi)
-    pi_lo, pi_hi = pi_bounds(pi_bits)
-    n_lo = count_real_roots(p.substitute_pi(pi_lo), lo, hi)
-    n_hi = count_real_roots(p.substitute_pi(pi_hi), lo, hi)
-    if n_lo != n_hi:
-        raise Inconclusive(
-            "root counts differ across the pi enclosure (%d vs %d); "
-            "tighten pi_bits" % (n_lo, n_hi)
-        )
-    return n_lo
+    if plain is None:
+        raise ValueError("sturm_count takes rational polynomials; p has pi terms")
+    return _count_between(
+        _rational_chain(plain),
+        None if a is None else Fraction(a),
+        None if b is None else Fraction(b),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Ray positivity certificates
 # ---------------------------------------------------------------------------
 
+def _shifted_coeffs(coeffs: Sequence[QPair], shift: Fraction) -> list[QPair]:
+    """Interval coefficients of q(shift + y) in y, for q = sum coeffs[j] x^j."""
+    out = [(Fraction(0), Fraction(0))] * len(coeffs)
+    for j, cj in enumerate(coeffs):
+        for i in range(j + 1):
+            out[i] = q_add(out[i], q_scale(cj, comb(j, i) * shift ** (j - i)))
+    return out
+
+
+def _shift_witness(p: PolyQ, x0: Fraction, pi_bits: int) -> Optional[dict]:
+    """Witness of the Taylor-shift test at x0, or None when it fails.
+
+    The test passes when every coefficient of p(x0 + y), enclosed over the
+    pi interval, has a nonnegative lower end and the constant term's lower
+    end is positive: then p(x0 + y) >= p(x0) > 0 for every y >= 0 and
+    every pi in the enclosure.
+    """
+    lows = [lo for lo, _ in _shifted_coeffs(p.coeff_bounds(pi_bounds(pi_bits)), x0)]
+    if lows[0] <= 0 or min(lows) < 0:
+        return None
+    return {
+        "pi_bits": pi_bits,
+        "degree": len(lows) - 1,
+        "constant_lo_approx": _approx(lows[0]),
+        "min_lo_approx": _approx(min(lows)),
+    }
+
+
+def _approx(q: Fraction) -> str:
+    """Seven significant digits of q, with no float overflow."""
+    return format(Context(prec=7).divide(q.numerator, q.denominator), ".6e")
+
+
 @dataclass
 class PositivityCertificate:
-    """Witness that a polynomial is positive on [x0, oo): a STURM
-    certificate of :func:`certify_positive_on_ray`, which :meth:`recheck`
-    re-derives, or the DOMINATION threshold of :func:`domination_threshold`."""
+    """Witness that a polynomial is positive on [x0, oo) for every pi in
+    the enclosure of ``pi_bits``: the TAYLOR_SHIFT test of
+    :func:`certify_positive_on_ray`, which :meth:`recheck` re-derives."""
 
-    method: str  # "STURM" or "DOMINATION"
+    method: str  # "TAYLOR_SHIFT"
     threshold: Fraction
     witness: dict
-    _poly: Optional[PolyQ] = field(default=None, repr=False)
+    _poly: PolyQ = field(repr=False)
 
     def to_json_obj(self) -> dict:
         return {
@@ -558,17 +548,9 @@ class PositivityCertificate:
         }
 
     def recheck(self) -> bool:
-        """Re-derive the stored witness data from scratch."""
-        if self.method != "STURM" or self._poly is None:
-            raise ValueError("recheck only supported for STURM certificates")
+        """Re-derive the shifted coefficients and compare the witness."""
         pi_bits = self.witness["pi_bits"]
-        n = sturm_count(self._poly, self.threshold, None, pi_bits=pi_bits)
-        pi_pair = pi_bounds(pi_bits)
-        v0 = self._poly.eval_bounds(self.threshold, pi_pair)
-        return (
-            n == self.witness["roots_beyond"]
-            and (v0[0] > 0) == self.witness["value_positive"]
-        )
+        return _shift_witness(self._poly, self.threshold, pi_bits) == self.witness
 
 
 @dataclass
@@ -582,205 +564,107 @@ class RayRefutation:
         return {"refuted_at": str(self.point), "value_below": str(self.value_hi)}
 
 
-def _root_magnitude_bound(cb: list[QPair]) -> Fraction:
-    """Cauchy-style bound: all real roots lie in [-B, B]."""
-    lead_lo = cb[-1][0]
-    if lead_lo <= 0:
-        raise Inconclusive("leading coefficient enclosure is not positive")
-    worst = max(max(abs(lo), abs(hi)) for lo, hi in cb[:-1]) if len(cb) > 1 else Fraction(0)
-    return 1 + worst / lead_lo
+def _root_magnitude_bound(coeffs: Sequence[Fraction]) -> Fraction:
+    """Cauchy bound: every real root lies in [-B, B]."""
+    return 1 + max((abs(c) for c in coeffs[:-1]), default=Fraction(0)) / abs(coeffs[-1])
+
+
+def _probe_points(coeffs: list[Fraction], x0: Fraction) -> tuple[int, list[Fraction]]:
+    """Distinct real roots beyond x0 of a rational polynomial, and the
+    points past x0 that a bisection isolating them visits.
+
+    The Sturm chain is built once; each step only counts sign variations.
+    An interval is split until it holds a single root and is narrower
+    than 1/1024.
+    """
+    chain = _rational_chain(coeffs)
+    roots = _count_between(chain, x0, None)
+    bound = max(_root_magnitude_bound(coeffs), x0 + 1)
+    points = {bound + 1}
+    stack = [(x0, bound, roots)] if roots else []
+    while stack:
+        lo, hi, cnt = stack.pop()
+        mid = (lo + hi) / 2
+        points.add(mid)
+        if cnt == 1 and hi - lo < Fraction(1, 1024):
+            continue
+        left = _count_between(chain, lo, mid)
+        if left:
+            stack.append((lo, mid, left))
+        if cnt - left:
+            stack.append((mid, hi, cnt - left))
+    return roots, sorted(points)
 
 
 def certify_positive_on_ray(p, x0: Rational, pi_bits: int = 256):
     """Certify p > 0 on [x0, oo), or exhibit a refutation point.
 
-    Returns a :class:`PositivityCertificate` (Sturm method: no roots in
-    (x0, oo) and p(x0) > 0) or a :class:`RayRefutation` carrying a point
-    where p is provably negative.  Raises :class:`Inconclusive` when the
-    pi enclosure is too loose to decide, and ValueError when p touches
-    zero on the ray without crossing (neither certificate nor refutation
-    exists for strict positivity).
+    Returns a :class:`RayRefutation` when the enclosure of p(x0) lies
+    below zero, else a :class:`PositivityCertificate` when the Taylor
+    shift test at x0 passes.  Otherwise it looks for a point past x0
+    where p is provably negative: walking out when the leading
+    coefficient is negative, else probing around the real roots beyond
+    x0, isolated by Sturm counts of p (of p with pi at the lower end of
+    its enclosure when p has pi terms).
+
+    Raises :class:`Inconclusive` when neither is found: the pi enclosure
+    is too wide, or a rational p has no real root beyond x0 and still
+    fails the shift test.  Raises ValueError when p(x0) = 0, or when a
+    rational p has roots beyond x0 but never dips negative (even-order
+    contact): strict positivity is false, yet no point refutes it.
     """
     if not isinstance(p, PolyQ):
         p = PolyQ.make(list(p))
+    if not p.coeffs:
+        raise ValueError("zero polynomial")
     x0 = Fraction(x0)
     pi_pair = pi_bounds(pi_bits)
-    cb = p.coeff_bounds(pi_pair)
-    if not cb:
-        raise ValueError("zero polynomial")
-
-    lead_lo, lead_hi = cb[-1]
-    if lead_hi < 0 or (p.degree == 0 and lead_hi <= 0):
-        # eventually negative: walk out until provably below zero
-        x = x0 + 1
-        for _ in range(512):
-            v = p.eval_bounds(x, pi_pair)
-            if v[1] < 0:
-                return RayRefutation(point=x, value_hi=v[1])
-            x *= 2
-        raise Inconclusive("could not locate a provably negative point")
-    if lead_lo <= 0:
-        raise Inconclusive("leading coefficient sign undecided; tighten pi_bits")
-
     v0 = p.eval_bounds(x0, pi_pair)
+    if v0[1] < 0:
+        return RayRefutation(point=x0, value_hi=v0[1])
     if v0 == (0, 0):
         raise ValueError(
             "p(x0) = 0 exactly: strict positivity fails at the threshold itself"
         )
-    roots_beyond = sturm_count(p, x0, None, pi_bits=pi_bits)
-    if roots_beyond == 0 and v0[0] > 0:
-        witness = {
-            "pi_bits": pi_bits,
-            "roots_beyond": roots_beyond,
-            "value_positive": True,
-            "value_at_x0_approx": "%.6e" % float(v0[0]),
-        }
-        return PositivityCertificate(
-            method="STURM", threshold=x0, witness=witness, _poly=p
-        )
-    if roots_beyond == 0 and v0[1] < 0:
-        # no crossing beyond x0 but negative at x0: negative on the whole ray
-        return RayRefutation(point=x0, value_hi=v0[1])
-    if roots_beyond == 0:
-        raise Inconclusive("sign of p(x0) undecided; tighten pi_bits")
+    witness = _shift_witness(p, x0, pi_bits)
+    if witness is not None:
+        return PositivityCertificate("TAYLOR_SHIFT", x0, witness, p)
 
-    # roots beyond x0: isolate them and probe the gaps for a negative value
-    bound = max(_root_magnitude_bound(cb), x0 + 1)
-    points = [x0, bound + 1]
-    stack = [(x0, bound, roots_beyond)]
-    while stack:
-        lo, hi, cnt = stack.pop()
-        if cnt == 0:
-            continue
-        mid = (lo + hi) / 2
-        points.append(mid)
-        if hi - lo < Fraction(1, 1024):
-            continue
-        left = sturm_count(p, lo, mid, pi_bits=pi_bits)
-        if left:
-            stack.append((lo, mid, left))
-        if cnt - left:
-            stack.append((mid, hi, cnt - left))
-    for x in sorted(set(points)):
-        if x < x0:
-            continue
+    lead_lo, lead_hi = p.coeff_bounds(pi_pair)[-1]
+    if lead_hi < 0:
+        # eventually negative: walk out until provably below zero
+        for e in range(512):
+            x = x0 + 2**e
+            v = p.eval_bounds(x, pi_pair)
+            if v[1] < 0:
+                return RayRefutation(point=x, value_hi=v[1])
+        raise Inconclusive("could not locate a provably negative point")
+    if lead_lo <= 0:
+        raise Inconclusive("leading coefficient sign undecided; tighten pi_bits")
+    plain = _as_fraction_list(p)
+    if plain is None:
+        _, points = _probe_points(p.substitute_pi(pi_pair[0]), x0)
+    else:
+        roots, points = _probe_points(plain, x0)
+        if roots == 0:
+            raise Inconclusive(
+                "p has no real root beyond x0, but p(x0 + y) has a negative "
+                "coefficient: the shift test does not certify it"
+            )
+    for x in points:
         v = p.eval_bounds(x, pi_pair)
         if v[1] < 0:
             return RayRefutation(point=x, value_hi=v[1])
+    if plain is None:
+        raise Inconclusive(
+            "the shift test fails and no probe is negative over the whole "
+            "pi enclosure; tighten pi_bits"
+        )
     raise ValueError(
         "polynomial has roots beyond x0 but never provably dips negative "
         "(even-order contact); strict positivity on the ray is false at the "
         "root itself"
     )
-
-
-# ---------------------------------------------------------------------------
-# Coefficient domination
-# ---------------------------------------------------------------------------
-
-def _shifted_coeffs(terms: dict[int, QPair], shift: Fraction) -> list[QPair]:
-    """Interval coefficients of q(shift + s) in s, for q = sum terms."""
-    deg = max(terms)
-    out = [(Fraction(0), Fraction(0))] * (deg + 1)
-    for j, cj in terms.items():
-        for i in range(j + 1):
-            w = comb(j, i) * shift ** (j - i)
-            out[i] = q_add(out[i], q_scale(cj, w))
-    return out
-
-
-def domination_threshold(
-    low_bounds: Iterable[tuple[int, object]],
-    pivot: int,
-    pivot_bound,
-    leading: Iterable[tuple[int, object]],
-    count: Optional[int] = None,
-    denom_bits: int = 10,
-    hunt_limit: int = 1 << 64,
-) -> PositivityCertificate:
-    """Smallest certified threshold x* for the tail-domination argument.
-
-    The certificate (method DOMINATION) states that for all x >= x*:
-      (i)  bound_j * x^j <= pivot_bound * x^pivot for every dominated j,
-      (ii) -count * pivot_bound * x^pivot + sum(leading terms) > 0,
-    hence any polynomial whose low-order coefficients obey the given
-    bounds and whose leading block matches is positive for x >= x*.
-
-    ``low_bounds``  -- (index j, upper bound on |c_j|) for every j < pivot.
-    ``pivot_bound`` -- exact magnitude of the pivot coefficient.
-    ``leading``     -- (index j, signed exact coefficient) for j > pivot.
-    ``count``       -- how many pivot copies the tail is charged with
-                       (defaults to ``pivot``, i.e. indices 0..pivot-1).
-
-    All coefficient inputs may be exact rationals or rational (lo, hi)
-    enclosures.  The search runs on integers first, then refines to a
-    dyadic rational with denominator at most 2**denom_bits.
-    """
-    lows = [(int(j), as_qpair(b)) for j, b in low_bounds]
-    if any(j >= pivot for j, _ in lows):
-        raise ValueError("dominated indices must lie below the pivot")
-    if any(b[0] < 0 for _, b in lows):
-        raise ValueError("coefficient bounds must be nonnegative")
-    pivot_q = as_qpair(pivot_bound)
-    if pivot_q[0] < 0:
-        raise ValueError("pivot bound must be nonnegative")
-    leads = {int(j): as_qpair(c) for j, c in leading}
-    if any(j <= pivot for j in leads):
-        raise ValueError("leading indices must lie above the pivot")
-    if not leads:
-        raise ValueError("leading block is empty")
-    top = max(leads)
-    if leads[top][0] <= 0 and pivot_q[1] > 0:
-        raise ValueError("leading block has no positive dominant term")
-    count = pivot if count is None else int(count)
-
-    block = dict(leads)
-    block[pivot] = q_scale(pivot_q, -count)
-
-    def holds(x: Fraction) -> bool:
-        # (i) pointwise domination; monotone in x, so one check suffices
-        xp = x**pivot
-        for j, bj in lows:
-            if bj[1] * x**j > pivot_q[0] * xp:
-                return False
-        # (ii) leading block beats count pivot copies for ALL y >= x:
-        # Taylor shift with nonnegative interval coefficients
-        sc = _shifted_coeffs(block, x)
-        if sc[0][0] <= 0:
-            return False
-        return all(c[0] >= 0 for c in sc[1:])
-
-    # integer hunt then binary search for the least passing integer
-    hi_i = 1
-    while not holds(Fraction(hi_i)):
-        hi_i *= 2
-        if hi_i > hunt_limit:
-            raise ValueError("no threshold found below the hunt limit; "
-                             "leading block is not eventually dominant")
-    lo_i = hi_i // 2 if hi_i > 1 else 0
-    while hi_i - lo_i > 1:
-        mid = (lo_i + hi_i) // 2
-        if holds(Fraction(mid)):
-            hi_i = mid
-        else:
-            lo_i = mid
-    x_star = Fraction(hi_i)
-    # dyadic refinement below the integer threshold
-    step = Fraction(1, 2)
-    for _ in range(denom_bits):
-        if x_star - step > lo_i and holds(x_star - step):
-            x_star -= step
-        step /= 2
-
-    witness = {
-        "pivot": pivot,
-        "count": count,
-        "pivot_bound_lo": str(pivot_q[0]),
-        "leading_indices": sorted(leads),
-        "dominated_indices": sorted(j for j, _ in lows),
-        "shifted_nonnegative_at": str(x_star),
-    }
-    return PositivityCertificate(method="DOMINATION", threshold=x_star, witness=witness)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import bkd
-from bkd import positivity
+from bkd import cli, positivity
 from bkd.cli import main
 from bkd.etaseries import PartitionTable, delta_table
 
@@ -349,6 +349,9 @@ class TestImports:
                 (["scan", "conjecture", "--k", "2", "--r", "3", "--to", "50"], 0),
             ):
                 assert main(argv) == code, argv
+                if argv[1] == "jensen":  # the one exact command that loads positivity
+                    assert "bkd.positivity" in sys.modules, "jensen skipped positivity"
+                    assert "mpmath" not in sys.modules, "positivity imported mpmath"
                 if argv[1] == "logconcave":
                     assert "bkd.positivity" not in sys.modules, "logconcave imported positivity"
                     assert traceback_preloaded or "traceback" not in sys.modules, (
@@ -557,3 +560,27 @@ class TestUsage:
     def test_out_of_range_arguments(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 3 and err.startswith("usage error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "logconcave", "--k", "1", "--to", "5"),
+        ("verify", "turan3", "--k", "1", "--to", "5"),
+        ("verify", "theta-mono", "--k", "1", "--to", "5"),
+        ("verify", "dlog", "--k", "1", "--r", "3", "--to", "5"),
+        ("verify", "jensen", "--k", "1", "--d", "4", "--to", "5"),
+        ("verify", "bessel", "--z-grid", "1484:1600:2"),
+        ("verify", "bessel", "--z-grid", "1484:1600:2", "--margins"),
+        ("verify", "phi-psi"),
+    ])
+    def test_csv_without_a_csv_dump(self, capsys, monkeypatch, argv):
+        # rejected before any work: no table, Bessel sum or certificate
+        from bkd import asymptotic
+
+        def no_work(*args):
+            raise RuntimeError("work started before the usage check")
+
+        monkeypatch.setattr(cli, "load_table", no_work)
+        monkeypatch.setattr(asymptotic, "bessel_remainder_margin", no_work)
+        monkeypatch.setattr(positivity, "certify_positive_on_ray", no_work)
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 3 and out == ""
+        assert err.startswith("usage error: verify %s has no CSV output" % argv[1])

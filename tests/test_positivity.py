@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,6 @@ from bkd.positivity import (
     PositivityCertificate,
     RayRefutation,
     certify_positive_on_ray,
-    count_real_roots,
-    domination_threshold,
     is_hyperbolic,
     lemma_quadratic,
     lemma_uv_check,
@@ -93,27 +92,25 @@ class TestSturmCount:
         assert sturm_count([1, 0, 1]) == 0  # X^2 + 1
 
     def test_multiple_root_counted_once(self):
-        assert count_real_roots([1, -2, 1]) == 1  # (X-1)^2
+        assert sturm_count([1, -2, 1]) == 1  # (X-1)^2
 
     def test_lemma_quadratic_roots_in_unit_interval(self):
         f = lemma_quadratic(Fraction(15, 16))
         assert sturm_count(f, 0, 1) == 2
 
     def test_psi_has_no_roots_beyond_six(self):
-        assert sturm_count(psi_poly(), 6, None) == 0
+        # sturm_count takes rational polynomials: pi at each end of its enclosure
+        for end in pi_bounds(256):
+            assert sturm_count(psi_poly().substitute_pi(end), 6, None) == 0
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             sturm_count([0, 0])
 
-    def test_pi_enclosure_disagreement_is_inconclusive(self):
-        lo, hi = pi_bounds(256)
-        cut = (lo + hi) / 2
-        # X - pi has its root inside the enclosure: counts at the two
-        # endpoint substitutions differ on (0, cut]
-        p = PolyQ.from_terms({1: {0: 1}, 0: {1: -1}})
-        with pytest.raises(Inconclusive):
-            sturm_count(p, 0, cut)
+    def test_pi_polynomial_rejected(self):
+        p = PolyQ.from_terms({1: {0: 1}, 0: {1: -1}})  # X - pi
+        with pytest.raises(ValueError, match="pi"):
+            sturm_count(p, 0, 4)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -247,9 +244,26 @@ class TestRayCertificates:
     def test_psi_certificate(self):
         cert = certify_positive_on_ray(psi_poly(), 6)
         assert isinstance(cert, PositivityCertificate)
-        assert cert.method == "STURM"
+        assert cert.method == "TAYLOR_SHIFT"
         assert cert.recheck()
         assert cert.to_json_obj()["x0"] == "6"
+
+    def test_values_beyond_float_range(self):
+        cert = certify_positive_on_ray([10**400, 1], 0)
+        assert cert.witness["constant_lo_approx"] == "1.000000e+400"
+        assert cert.recheck()
+
+    def test_recheck_rejects_a_tampered_witness(self):
+        cert = certify_positive_on_ray(psi_poly(), 6)
+        cert.witness["degree"] = 23
+        assert not cert.recheck()
+
+    def test_certificates_with_a_coarse_pi_enclosure(self):
+        # the shift test holds for every pi in a 16-bit enclosure
+        for poly, x0 in ((psi_poly(), 6), (phi_poly() - psi_poly(), Fraction(33, 10)),
+                         (phi_poly(), 6)):
+            cert = certify_positive_on_ray(poly, x0, pi_bits=16)
+            assert isinstance(cert, PositivityCertificate) and cert.recheck()
 
     def test_phi_minus_psi_certificate(self):
         cert = certify_positive_on_ray(phi_poly() - psi_poly(), Fraction(33, 10))
@@ -264,7 +278,55 @@ class TestRayCertificates:
     def test_refutation(self):
         r = certify_positive_on_ray([1, -1], 2)  # 1 - X
         assert isinstance(r, RayRefutation)
-        assert r.point >= 2 and r.value_hi < 0
+        assert r.point == 2 and r.value_hi == -1
+
+    def test_negative_threshold_value_refuted_at_once(self):
+        # phi - (1 - x^2) has roots beyond 33/10 but is already negative
+        # there; no Sturm work is needed to say so
+        t0 = time.process_time()
+        r = certify_positive_on_ray(phi_poly() - PolyQ.make([1, 0, -1]), Fraction(33, 10))
+        assert time.process_time() - t0 < 1
+        assert isinstance(r, RayRefutation)
+        assert r.point == Fraction(33, 10) and r.value_hi < 0
+
+    def test_walk_out_stays_on_the_ray(self):
+        # 100 - x^2 from x0 = -5: positive at x0, eventually negative
+        r = certify_positive_on_ray([100, 0, -1], -5)
+        assert isinstance(r, RayRefutation)
+        assert r.point >= -5 and r.value_hi < 0
+
+    def test_root_pair_inside_pi_enclosure_is_inconclusive(self):
+        # (x - 5)^2 + (pi - 7/2)^2 - 1/16 with pi in [3, 4]: no real root
+        # at either end of the enclosure, but p(5) = -1/16 at pi = 7/2
+        p = PolyQ.from_terms({2: {0: 1}, 1: {0: -10},
+                              0: {0: Fraction(595, 16), 1: -7, 2: 1}})
+        assert pi_bounds(2) == (3, 4)
+        assert [sturm_count(p.substitute_pi(end), 0, None) for end in (3, 4)] == [0, 0]
+        assert PolyQ.make(p.substitute_pi(Fraction(7, 2))).eval_bounds(
+            5, (0, 0)) == (Fraction(-1, 16), Fraction(-1, 16))
+        with pytest.raises(Inconclusive):
+            certify_positive_on_ray(p, 0, pi_bits=2)
+
+    def test_root_free_rational_failing_the_shift_is_inconclusive(self):
+        # x^2 - x + 1 > 0 everywhere, but its coefficients at x0 = 0 vary
+        # in sign: the shift test is the only certificate
+        with pytest.raises(Inconclusive):
+            certify_positive_on_ray([1, -1, 1], 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        coeffs=st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=6),
+                        min_size=1, max_size=7).filter(lambda c: c[-1] != 0),
+        x0=st.fractions(min_value=-6, max_value=6, max_denominator=4),
+    )
+    def test_shift_certificate_agrees_with_sturm(self, coeffs, x0):
+        try:
+            result = certify_positive_on_ray(coeffs, x0)
+        except (Inconclusive, ValueError):
+            return
+        if isinstance(result, PositivityCertificate):
+            assert sturm_count(coeffs, x0, None) == 0
+            assert sum(c * x0**i for i, c in enumerate(coeffs)) > 0
 
     def test_sign_change_found_beyond_threshold(self):
         # (X - 3)(X - 5) is negative between its roots
@@ -279,39 +341,6 @@ class TestRayCertificates:
     def test_exact_zero_at_threshold_raises(self):
         with pytest.raises(ValueError, match="x0"):
             certify_positive_on_ray([0, 1], 0)  # p(x) = x vanishes at x0
-
-
-class TestDomination:
-    def test_trivial_single_zero_bound(self):
-        cert = domination_threshold(
-            [(0, 0)], 1, Fraction(0), [(2, Fraction(1))], count=1, denom_bits=0
-        )
-        assert isinstance(cert, PositivityCertificate) and cert.method == "DOMINATION"
-        assert cert.threshold == 1
-
-    def test_textbook_quadratic_block(self):
-        # charged block is x^2 - 4x (positive past 4); the low-order
-        # bound 4 <= 2x holds from 2, so the threshold refines to just
-        # above 4
-        cert = domination_threshold(
-            low_bounds=[(0, Fraction(4))],
-            pivot=1,
-            pivot_bound=Fraction(2),
-            leading=[(2, Fraction(1))],
-            count=2,
-        )
-        assert Fraction(4) < cert.threshold <= 5
-        assert cert.witness["pivot"] == 1
-
-    def test_rejects_bad_indices(self):
-        with pytest.raises(ValueError):
-            domination_threshold([(3, 1)], 2, 1, [(4, 1)])
-        with pytest.raises(ValueError):
-            domination_threshold([(0, 1)], 2, 1, [(1, 1)])
-
-    def test_no_dominant_block(self):
-        with pytest.raises(ValueError):
-            domination_threshold([(0, 1)], 1, 1, [(2, Fraction(-1))], hunt_limit=2**20)
 
 
 class TestScalarLemmas:
