@@ -11,8 +11,9 @@ confronted with analytic envelopes.  ``positivity`` certifies polynomial
 positivity on rays with exact rational arithmetic.
 
 Importing the package loads none of these modules; import names from the
-module that defines them.  Only the analytic side imports mpmath, so the
-exact commands of ``bkd.cli`` never load it.
+module that defines them.  The interval arithmetic runs on Python
+integers, so no module needs anything beyond the standard library; the
+tests use mpmath as an independent reference.
 """
 
 __version__ = "0.1.0"

@@ -13,7 +13,8 @@ Every formula is written with the operators of
 function works at its ``prec`` argument, re-homing an enclosure that
 arrives at another precision with ``at(prec)``.  Only the Bessel series
 runs outside the interval type, in Python integers with directed
-rounding.
+rounding, and the interval kernel rounds its two sums.  Nothing here
+needs mpmath.
 
 Hypothesis gating: formulas evaluate anywhere they are defined, but
 claims are only asserted inside their stated validity ranges (size
@@ -25,18 +26,15 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial, lgamma, log, log2, sqrt
-from typing import Optional, Union
-
-import mpmath as mp
-from mpmath.libmp import from_man_exp, round_ceiling, round_floor, to_float
+from math import ceil, factorial, ldexp, lgamma, log, log2, sqrt
+from typing import NamedTuple, Optional, Union
 
 from .etaseries import PartitionTable
 from .intervals import (
     DEFAULT_PREC,
     IntervalReal,
+    from_dyadic,
     pi_interval,
     sqrt_rational_interval,
     to_interval,
@@ -99,14 +97,14 @@ def x_param(k: int, n: int, prec: int = DEFAULT_PREC) -> IntervalReal:
 # Bessel function by ascending series
 # ---------------------------------------------------------------------------
 
-def _series_sum(nu: int, x: tuple, w: int, limit: int, up: bool) -> tuple[int, int]:
-    """Directed sum of the ascending series of I_nu at the raw mpf x >= 0.
+def _series_sum(nu: int, man: int, exp: int, w: int, limit: int,
+                up: bool) -> tuple[int, int]:
+    """Directed sum of the ascending series of I_nu at x = man 2^exp >= 0.
 
     Returns (S, F) with S * 2^F <= I_nu(x) when ``up`` is False and
     S * 2^F >= I_nu(x) when it is True.  Terms carry w-bit mantissas;
     2^F sits w bits below the largest term.
     """
-    man, exp = int(x[1]), x[2]
     if not man:
         return int(nu == 0), 0
     # (x/2)^2 = qm 2^qe exactly, qm shifted so that qm > m (m + nu) for
@@ -130,7 +128,9 @@ def _series_sum(nu: int, x: tuple, w: int, limit: int, up: bool) -> tuple[int, i
     # F = log2 of the largest term (at m* ~ (sqrt(nu^2 + x^2) - nu) / 2,
     # a float estimate) minus w; it only affects tightness
     ln_half = log(man) + (exp - 1) * log(2)
-    m_peak = int((sqrt(nu * nu + to_float(x) ** 2) - nu) / 2)
+    cut = max(0, man.bit_length() - 53)
+    x_float = ldexp(man >> cut, exp + cut)
+    m_peak = int((sqrt(nu * nu + x_float**2) - nu) / 2)
     peak = ((2 * m_peak + nu) * ln_half - lgamma(m_peak + 1)
             - lgamma(m_peak + nu + 1)) / log(2)
     f = int(peak) - w
@@ -171,7 +171,7 @@ def bessel_i(nu: int, z, prec: int = DEFAULT_PREC) -> IntervalReal:
     The sums run in Python integers.  A term is a mantissa T of
     w = prec + guard bits and an exponent; guard is log2 of the term
     count plus 6 bits, which covers the rounding of every term.  Since
-    the mpf mantissa of z is an integer, Q = (z/2)^2 is exact, and the
+    each end of z has an integer mantissa, Q = (z/2)^2 is exact, and the
     next term is T Q // (m (m + nu)), renormalised to w bits.  The terms
     add into one fixed-point integer whose unit 2^F sits w bits below
     the largest term.  The ratio r = Q/((m+1)(m+nu+1)) of the next term
@@ -180,24 +180,23 @@ def bessel_i(nu: int, z, prec: int = DEFAULT_PREC) -> IntervalReal:
     where that bound, an exact integer test, is below 2^F.  Every later
     term is then below one unit, so the lower sum would add nothing for
     them, and the upper sum adds the bound's ceiling, one unit of F.
-    Each sum becomes an mpf at ``prec`` bits, rounded down for the lower
-    end and up for the upper.  F and guard set the tightness only, never
-    the direction of any rounding.  Rigorous for the whole range used
-    here (z up to ~10^4).  For large z the sums run a few terms past the
-    last term of at least one unit (m = 5775 at z = 10^4 and 144 bits).
+    Each sum is rounded to ``prec`` bits by the interval kernel, down for
+    the lower end and up for the upper.  F and guard set the tightness
+    only, never the direction of any rounding.  Rigorous for the whole
+    range used here (z up to ~10^4).  For large z the sums run a few
+    terms past the last term of at least one unit (m = 5775 at z = 10^4
+    and 144 bits).
     """
     if nu < 0:
         raise ValueError("nu must be a nonnegative integer")
     z_iv = to_interval(z, prec)
-    if z_iv.lo < 0:
+    lo_man, lo_exp, hi_man, hi_exp = z_iv.dyadic_ends
+    if lo_man < 0:
         raise ValueError("bessel_i requires z >= 0")
     terms = int(float(z_iv.hi)) + prec + nu + 16
     w = prec + terms.bit_length() + 6
-    lo = from_man_exp(*_series_sum(nu, z_iv.lo._mpf_, w, 8 * terms, False),
-                      prec, round_floor)
-    hi = from_man_exp(*_series_sum(nu, z_iv.hi._mpf_, w, 8 * terms, True),
-                      prec, round_ceiling)
-    return IntervalReal(lo=mp.make_mpf(lo), hi=mp.make_mpf(hi), prec=prec)
+    return from_dyadic(*_series_sum(nu, lo_man, lo_exp, w, 8 * terms, False),
+                       *_series_sum(nu, hi_man, hi_exp, w, 8 * terms, True), prec)
 
 
 def i2_scaled_main(z, prec: Optional[int] = None) -> IntervalReal:
@@ -515,8 +514,7 @@ def lambda_exact(k: int, n: int, prec: int = DEFAULT_PREC) -> IntervalReal:
     return num / main_term(k, n, prec) ** 2
 
 
-@dataclass(frozen=True)
-class RatioBounds:
+class RatioBounds(NamedTuple):
     """Closed-form bounds in 1/x for Lambda and Theta at one n."""
 
     lambda_lo: IntervalReal
@@ -630,8 +628,7 @@ def tail_factors(
     return g, big_g
 
 
-@dataclass(frozen=True)
-class SandwichResult:
+class SandwichResult(NamedTuple):
     """Outcome of one Lambda g <= Theta <= Lambda G comparison, with the
     enclosures it compared (None below the validity threshold)."""
 

@@ -40,10 +40,11 @@ import hashlib
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import add, mul
 from typing import Iterable, Sequence
+
+from .report import FrozenRecord
 
 __all__ = [
     "ALGORITHM",
@@ -60,8 +61,7 @@ __all__ = [
 ALGORITHM = "eta-quotient/euler-jacobi-passes/1"
 
 
-@dataclass(frozen=True)
-class EtaQuotientSpec:
+class EtaQuotientSpec(FrozenRecord):
     """A finite list of (modulus, exponent) factors of an eta quotient.
 
     Moduli must be distinct positive integers in ascending order and
@@ -69,20 +69,21 @@ class EtaQuotientSpec:
     input (merging repeated moduli, dropping zero exponents).
     """
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self) -> None:
-        if not self.factors:
+    def __init__(self, factors: tuple[tuple[int, int], ...]) -> None:
+        if not factors:
             raise ValueError("eta quotient spec must contain at least one factor")
-        moduli = [m for m, _ in self.factors]
+        moduli = [m for m, _ in factors]
         if any(m <= 0 for m in moduli):
             raise ValueError("moduli must be positive integers")
-        if any(e == 0 for _, e in self.factors):
+        if any(e == 0 for _, e in factors):
             raise ValueError("exponents must be nonzero")
         if len(set(moduli)) != len(moduli):
             raise ValueError("duplicate moduli: %r" % (moduli,))
         if moduli != sorted(moduli):
             raise ValueError("moduli must be sorted ascending")
+        self._set(factors=factors)
 
     @classmethod
     def from_factors(cls, factors: Iterable[tuple[int, int]]) -> "EtaQuotientSpec":
@@ -198,21 +199,19 @@ def expand_eta_quotient(spec: EtaQuotientSpec, N: int) -> list[int]:
 # Tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PartitionTable:
+class PartitionTable(FrozenRecord):
     """Immutable table of exact values delta_k(0..N).
 
     ``coeffs[n]`` is delta_k(n) as a Python int.  Completed tables are
     safe to share across threads.
     """
 
-    k: int
-    N: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("k", "N", "coeffs")
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.N + 1:
+    def __init__(self, k: int, N: int, coeffs: tuple[int, ...]) -> None:
+        if len(coeffs) != N + 1:
             raise ValueError("coefficient array length != N + 1")
+        self._set(k=k, N=N, coeffs=coeffs)
 
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]

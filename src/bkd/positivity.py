@@ -3,7 +3,7 @@
 Everything here is rational arithmetic: polynomials carry exact
 ``Fraction`` coefficients, optionally as rational combinations of powers
 of pi.  Transcendental constants enter only through rational enclosure
-pairs (lo, hi) (mpmath is imported only when :func:`pi_bounds` runs), and
+pairs (lo, hi) (pi from the interval kernel, :func:`pi_bounds`), and
 every decision either holds for the whole enclosure or is reported as
 :class:`Inconclusive` so the caller can tighten it.
 
@@ -22,11 +22,13 @@ Certification methods:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import Context
 from fractions import Fraction
 from math import comb, gcd, isqrt
 from typing import Iterable, Optional, Sequence, Union
+
+from .intervals import pi_interval
+from .report import FrozenRecord, Record
 
 __all__ = [
     "Inconclusive",
@@ -58,23 +60,11 @@ class Inconclusive(Exception):
 # Rational enclosures of the constants we need
 # ---------------------------------------------------------------------------
 
-def _raw_to_fraction(raw) -> Fraction:
-    from mpmath.libmp import to_rational
-
-    p, q = to_rational(raw)
-    return Fraction(int(p), int(q))  # gmpy2 mpz must not leak into Fraction
-
-
 def pi_bounds(bits: int = 256) -> QPair:
-    """Rational pair (lo, hi) with lo < pi < hi and ~``bits`` agreement."""
-    from mpmath.libmp import mpf_pi, round_ceiling, round_floor
-
-    lo = _raw_to_fraction(mpf_pi(bits, round_floor))
-    hi = _raw_to_fraction(mpf_pi(bits, round_ceiling))
-    if lo == hi:  # directed rounding landed on the same float; widen
-        ulp = Fraction(1, 1 << bits)
-        lo, hi = lo - ulp, hi + ulp
-    return lo, hi
+    """Rational pair (lo, hi) with lo < pi < hi: pi rounded down and up
+    to ``bits`` bits."""
+    pi = pi_interval(bits)
+    return pi.lo_fraction(), pi.hi_fraction()
 
 
 def sqrt_bounds(x: Rational, bits: int = 256) -> QPair:
@@ -98,20 +88,6 @@ def sqrt_bounds(x: Rational, bits: int = 256) -> QPair:
 
 def q_add(a: QPair, b: QPair) -> QPair:
     return a[0] + b[0], a[1] + b[1]
-
-
-def q_mul(a: QPair, b: QPair) -> QPair:
-    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(ps), max(ps)
-
-
-def q_pow(a: QPair, n: int) -> QPair:
-    if n == 0:
-        return Fraction(1), Fraction(1)
-    r = a
-    for _ in range(n - 1):
-        r = q_mul(r, a)
-    return r
 
 
 def q_scale(a: QPair, c: Rational) -> QPair:
@@ -145,8 +121,7 @@ def _norm_coeff(c) -> PiCoeff:
     return tuple(sorted((p, r) for p, r in merged.items() if r))
 
 
-@dataclass(frozen=True)
-class PolyQ:
+class PolyQ(FrozenRecord):
     """Dense univariate polynomial, ascending degree.
 
     Each coefficient is a finite sum of terms c * pi**e with c an exact
@@ -154,11 +129,12 @@ class PolyQ:
     the e = 0 case.  The trailing (highest-degree) coefficient is nonzero.
     """
 
-    coeffs: tuple[PiCoeff, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if self.coeffs and not self.coeffs[-1]:
+    def __init__(self, coeffs: tuple[PiCoeff, ...]) -> None:
+        if coeffs and not coeffs[-1]:
             raise ValueError("trailing coefficient must be nonzero")
+        self._set(coeffs=coeffs)
 
     @classmethod
     def make(cls, coeffs: Iterable) -> "PolyQ":
@@ -187,11 +163,19 @@ class PolyQ:
         return [sum((r * rho**p for p, r in c), Fraction(0)) for c in self.coeffs]
 
     def coeff_bounds(self, pi_pair: QPair) -> list[QPair]:
+        """Enclosure of each coefficient over pi in ``pi_pair``; since
+        pi > 0, pi^e lies in [lo^e, hi^e], computed once per e."""
+        lo, hi = pi_pair
+        if lo < 0:
+            raise ValueError("the pi enclosure must be nonnegative")
+        powers: dict[int, QPair] = {}
         out = []
         for c in self.coeffs:
             acc = (Fraction(0), Fraction(0))
             for p, r in c:
-                acc = q_add(acc, q_scale(q_pow(pi_pair, p), r))
+                if p not in powers:
+                    powers[p] = lo**p, hi**p
+                acc = q_add(acc, q_scale(powers[p], r))
             out.append(acc)
         return out
 
@@ -529,16 +513,17 @@ def _approx(q: Fraction) -> str:
     return format(Context(prec=7).divide(q.numerator, q.denominator), ".6e")
 
 
-@dataclass
-class PositivityCertificate:
+class PositivityCertificate(Record):
     """Witness that a polynomial is positive on [x0, oo) for every pi in
     the enclosure of ``pi_bits``: the TAYLOR_SHIFT test of
     :func:`certify_positive_on_ray`, which :meth:`recheck` re-derives."""
 
-    method: str  # "TAYLOR_SHIFT"
-    threshold: Fraction
-    witness: dict
-    _poly: PolyQ = field(repr=False)
+    __slots__ = ("method", "threshold", "witness", "_poly")
+
+    def __init__(self, method: str, threshold: Fraction, witness: dict,
+                 _poly: PolyQ) -> None:
+        self.method = method  # "TAYLOR_SHIFT"
+        self.threshold, self.witness, self._poly = threshold, witness, _poly
 
     def to_json_obj(self) -> dict:
         return {
@@ -553,12 +538,14 @@ class PositivityCertificate:
         return _shift_witness(self._poly, self.threshold, pi_bits) == self.witness
 
 
-@dataclass
-class RayRefutation:
+class RayRefutation(Record):
     """A point x* >= x0 where the polynomial is provably negative."""
 
-    point: Fraction
-    value_hi: Fraction  # certified upper bound on p(point); < 0
+    __slots__ = ("point", "value_hi")
+
+    def __init__(self, point: Fraction, value_hi: Fraction) -> None:
+        self.point = point
+        self.value_hi = value_hi  # certified upper bound on p(point); < 0
 
     def to_json_obj(self) -> dict:
         return {"refuted_at": str(self.point), "value_below": str(self.value_hi)}

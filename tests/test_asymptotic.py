@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bkd.asymptotic
+from mpref import mpf_fraction
 from bkd.asymptotic import (
     Z_REMAINDER_MIN,
     alpha,
@@ -64,12 +65,12 @@ class TestSizeParam:
         # pi * sqrt(20) / 6, computed independently at higher precision
         with mp.workprec(320):
             ref = mp.pi * mp.sqrt(20) / 6
-        assert x.lo < ref < x.hi
+        assert x.lo < mpf_fraction(ref) < x.hi
         assert abs(float(x) - 2.3416049) < 1e-6
 
     def test_width_contract(self):
         x = x_param(1, 10**6, 192)
-        assert x.width <= mp.mpf(2) ** (4 - 192) * x.hi
+        assert x.width <= Fraction(2) ** (4 - 192) * x.hi
 
     def test_main_validity_threshold(self):
         assert x_param(1, 3512).lo_fraction() >= 152
@@ -92,11 +93,12 @@ KERNEL_NUS = [0, 1, 2, 5]
 DYADIC_Z = [0, Fraction(1, 2**40), 0.5, 7, 1483.2, 10**4, 2 * 10**4]
 
 
-def besseli_ref(nu: int, z, prec: int) -> mp.mpf:
+def besseli_ref(nu: int, z, prec: int) -> Fraction:
     """mpmath's own I_nu (an independent algorithm) at 2 prec + 64 bits,
-    and at least 512; ``z`` may be a callable evaluated at that precision."""
+    and at least 512, as an exact Fraction; ``z`` may be a callable
+    evaluated at that precision."""
     with mp.workprec(max(512, 2 * prec + 64)):
-        return mp.besseli(nu, z() if callable(z) else z)
+        return mpf_fraction(mp.besseli(nu, z() if callable(z) else z))
 
 
 class TestBessel:
@@ -110,7 +112,7 @@ class TestBessel:
         # enclosure is far tighter than the 38-digit bracket, so it must
         # sit strictly inside it
         assert I2_AT_1_LO <= enc.lo_fraction() <= enc.hi_fraction() <= I2_AT_1_HI
-        assert enc.width < mp.mpf(2) ** -140
+        assert enc.width < Fraction(1, 2**140)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -130,7 +132,7 @@ class TestBessel:
         # (computed at much higher precision) must land in the enclosure
         enc = bessel_i(nu, z, 128)
         with mp.workprec(256):
-            ref = mp.besseli(nu, z)
+            ref = mpf_fraction(mp.besseli(nu, z))
         assert enc.lo <= ref <= enc.hi
 
     @pytest.mark.parametrize("prec", KERNEL_PRECS)
@@ -183,10 +185,10 @@ class TestBesselKernel:
             m += 1
             term = term * half**2 / (m * (m + nu))
             partial += term
-        z_mpf = to_interval(z, prec).lo._mpf_
+        man, exp = to_interval(z, prec).dyadic_ends[:2]
         w, limit = prec + 20, 8 * (prec + 200)
-        s_lo, f_lo = bkd.asymptotic._series_sum(nu, z_mpf, w, limit, False)
-        s_hi, f_hi = bkd.asymptotic._series_sum(nu, z_mpf, w, limit, True)
+        s_lo, f_lo = bkd.asymptotic._series_sum(nu, man, exp, w, limit, False)
+        s_hi, f_hi = bkd.asymptotic._series_sum(nu, man, exp, w, limit, True)
         assert s_lo * Fraction(2) ** f_lo <= partial
         assert partial + term <= s_hi * Fraction(2) ** f_hi
         assert s_hi - s_lo < 2**12
@@ -233,7 +235,7 @@ class TestScaledMain:
     def test_width_contract_at_2000(self):
         p = 192
         v = i2_scaled_main(to_interval(2000, p))
-        assert v.width <= mp.mpf(2) ** (6 - p)
+        assert v.width <= Fraction(2) ** (6 - p)
 
 
 class TestRemainder:
@@ -330,8 +332,8 @@ class TestEnvelopes:
     def test_width_contract(self):
         p = 192
         phi, big = envelope_pair(2, 1000, p)
-        assert phi.width <= mp.mpf(2) ** (8 - p)
-        assert big.width <= mp.mpf(2) ** (8 - p)
+        assert phi.width <= Fraction(2) ** (8 - p)
+        assert big.width <= Fraction(2) ** (8 - p)
 
     def test_gamma_values(self):
         g = gamma_constants(1, 192)
@@ -525,7 +527,9 @@ def pinned_lines() -> list[str]:
     Nothing here is built on bessel_i, so the series kernel can change
     without touching the data."""
     def line(label, x):
-        ends = " | ".join("%d %x %d" % e._mpf_[:3] for e in (x.lo, x.hi))
+        lo_man, lo_exp, hi_man, hi_exp = x.dyadic_ends
+        ends = " | ".join("%d %x %d" % (man < 0, abs(man), exp)
+                          for man, exp in ((lo_man, lo_exp), (hi_man, hi_exp)))
         return "%s: %s @%d" % (label, ends, x.prec)
 
     p, out = 384, []

@@ -360,6 +360,34 @@ class TestImports:
         """, cache_dir)
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("argv,code", [
+        (["verify", "sandwich", "--k", "1", "--from", "3512", "--to", "3513",
+          "--format", "csv"], 0),
+        (["verify", "theta-bounds", "--k", "2", "--from", "15080", "--to", "15081"], 0),
+        (["verify", "bessel", "--z-grid", "1484:1600:2"], 0),
+        (["verify", "phi-psi", "--format", "json"], 0),
+        (["verify", "turan3", "--k", "1", "--to", "50"], 1),
+    ])
+    def test_commands_never_import_mpmath(self, cache_dir, argv, code):
+        proc = run_fresh("""
+            import sys
+            from bkd.cli import main
+            code = main(%r)
+            sys.exit(99 if "mpmath" in sys.modules else code)
+        """ % (argv,), cache_dir)
+        assert proc.returncode != 99, "the command imported mpmath"
+        assert proc.returncode == code, proc.stderr
+
+    def test_expand_never_imports_dataclasses(self, cache_dir):
+        proc = run_fresh("""
+            import sys
+            assert "dataclasses" not in sys.modules, "dataclasses preloaded"
+            from bkd.cli import main
+            assert main(["expand", "--k", "1", "--n", "60"]) == 0
+            assert "dataclasses" not in sys.modules, "expand imported dataclasses"
+        """, cache_dir)
+        assert proc.returncode == 0, proc.stderr
+
     def test_bessel_imports_what_it_needs(self, cache_dir):
         proc = run_fresh("""
             import sys
