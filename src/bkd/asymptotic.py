@@ -28,7 +28,7 @@ import functools
 import operator
 from fractions import Fraction
 from math import ceil, factorial, ldexp, lgamma, log, log2, sqrt
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .etaseries import PartitionTable
 from .intervals import (
@@ -241,16 +241,16 @@ def auto_prec(z) -> int:
     return int(ceil(6 * log2(z_hi))) + 64
 
 
-def remainder_precisions(z, prec: Union[int, str, None] = None) -> list[int]:
+def remainder_precisions(z, prec: Optional[int] = None) -> list[int]:
     """The precisions a remainder check at z tries, in order.
 
-    An explicit ``prec`` is the only attempt.  With prec None or "auto"
-    the check starts at :func:`auto_prec` and doubles while the margin
-    straddles 0, up to a cap of ceil(1.45 z) + 64 bits, at which the
-    last attempt is made.
+    An explicit ``prec`` is the only attempt.  With prec None the check
+    starts at :func:`auto_prec` and doubles while the margin straddles 0,
+    up to a cap of ceil(1.45 z) + 64 bits, at which the last attempt is
+    made.
     """
-    if prec not in (None, "auto"):
-        return [int(prec)]
+    if prec is not None:
+        return [prec]
     cap = int(ceil(1.45 * float(to_interval(z, 64).hi))) + 64
     schedule = [min(auto_prec(z), cap)]
     while schedule[-1] < cap:
@@ -265,7 +265,7 @@ def scaled_i2(z, prec: int) -> IntervalReal:
     return bessel_i(2, z_iv, prec) * (-zz).exp() * (2 * pi_interval(prec) * zz).sqrt()
 
 
-def bessel_remainder_margin(z, prec: Union[int, str, None] = None) -> IntervalReal:
+def bessel_remainder_margin(z, prec: Optional[int] = None) -> IntervalReal:
     """Margin 73/z^6 - |I_2(z) e^{-z} sqrt(2 pi z) - main part|.
 
     The remainder claim holds at z iff the returned enclosure is

@@ -265,9 +265,9 @@ def _verify_range(args, check: Check) -> int:
         if args.from_n < 2:
             raise UsageError("verify %s needs --from >= 2 (Lambda(n) uses n - 1)"
                              % args.check)
-        from . import asymptotic  # noqa: F401  (loaded before the timed scan)
+        from . import asymptotic  # loaded before the timed scan
 
-        prec = _parse_prec(args.prec) or 384
+        prec = _parse_prec(args.prec) or asymptotic.DEFAULT_PREC
         rows = [] if args.format == "csv" else None
         leading, extra = (prec, rows), {"prec": prec}
     table = load_table(args.k, args.to + (check.lookahead or value))

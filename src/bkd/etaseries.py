@@ -213,12 +213,6 @@ class PartitionTable(FrozenRecord):
             raise ValueError("coefficient array length != N + 1")
         self._set(k=k, N=N, coeffs=coeffs)
 
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs[n]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
     def check_invariants(self) -> None:
         """Positivity and monotonicity of the stored values."""
         if self.coeffs[0] != 1:

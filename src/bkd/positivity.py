@@ -17,14 +17,15 @@ Certification methods:
   where the enclosure of p lies below zero; Sturm counts of rational
   polynomials only choose where to look for them.
 * Hyperbolicity: the leading-coefficient signs of one reduced subresultant
-  chain of p and p', with a Sturm/gcd fallback (:func:`is_hyperbolic`).
+  chain of p and p', with the Sturm chain of p as its fallback
+  (:func:`is_hyperbolic`).
 """
 
 from __future__ import annotations
 
 from decimal import Context
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import comb, gcd
 from typing import Iterable, Optional, Sequence, Union
 
 from .intervals import pi_interval
@@ -36,7 +37,6 @@ __all__ = [
     "PositivityCertificate",
     "RayRefutation",
     "pi_bounds",
-    "sqrt_bounds",
     "sturm_count",
     "is_hyperbolic",
     "certify_positive_on_ray",
@@ -65,25 +65,6 @@ def pi_bounds(bits: int = 256) -> QPair:
     to ``bits`` bits."""
     pi = pi_interval(bits)
     return pi.lo_fraction(), pi.hi_fraction()
-
-
-def sqrt_bounds(x: Rational, bits: int = 256) -> QPair:
-    """Rational pair enclosing sqrt(x) for x >= 0, via integer isqrt."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("sqrt of negative rational")
-    if x == 0:
-        return Fraction(0), Fraction(0)
-    p, q = x.numerator, x.denominator
-    # sqrt(p/q) = sqrt(p*q)/q; scale so the isqrt has ~bits significant bits
-    m = p * q
-    shift = max(0, 2 * bits - m.bit_length())
-    shift += shift & 1
-    i = isqrt(m << shift)
-    den = q << (shift // 2)
-    lo = Fraction(i, den)
-    hi = Fraction(i + 1, den)
-    return lo, hi
 
 
 def q_add(a: QPair, b: QPair) -> QPair:
@@ -286,6 +267,8 @@ def _prem_neg(f: Sequence[int], g: Sequence[int]) -> list[int]:
 
 
 def _sturm_chain(p: Sequence[int]) -> list[list[int]]:
+    """Signed remainder sequence of p and p', each member primitive; the
+    last one is gcd(p, p') up to a constant factor."""
     chain = [_prim(p), _prim(_deriv(p))]
     while chain[-1] and len(chain[-1]) > 1:
         nxt = _prem_neg(chain[-2], chain[-1])
@@ -295,31 +278,19 @@ def _sturm_chain(p: Sequence[int]) -> list[list[int]]:
     return chain
 
 
-def _poly_gcd(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    f, g = _prim(list(f)), _prim(list(g))
-    while g and len(g) > 1:
-        f, g = g, _prem_neg(f, g)
-    if g:  # nonzero constant remainder: coprime
-        return [1]
-    return f
-
-
 def _exact_div(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    """f // g assuming the division is exact, primitive output."""
-    fq = [Fraction(c) for c in f]
-    gq = [Fraction(c) for c in g]
-    quo = [Fraction(0)] * (len(fq) - len(gq) + 1)
-    while True:
-        while fq and fq[-1] == 0:
-            fq.pop()
-        if len(fq) < len(gq) or not fq:
-            break
-        c = fq[-1] / gq[-1]
-        sh = len(fq) - len(gq)
-        quo[sh] = c
-        for i, gc in enumerate(gq):
-            fq[sh + i] -= c * gc
-    return _prim(_clear_denominators(quo))
+    """f / g for a primitive g that divides f.  By Gauss's lemma the
+    quotient has integer coefficients, so the long division stays in Z."""
+    f = list(f)
+    dg = len(g) - 1
+    quo = [0] * (len(f) - dg)
+    for sh in reversed(range(len(quo))):
+        c = quo[sh] = f[sh + dg] // g[-1]
+        for i, gc in enumerate(g):
+            f[sh + i] -= c * gc
+    if any(f):  # an inexact step leaves its coefficient behind
+        raise AssertionError("polynomial division is inexact")
+    return quo
 
 
 def _sign_at(p: Sequence[int], x: Fraction) -> int:
@@ -353,17 +324,13 @@ def _variations(chain: list[list[int]], x: Optional[Fraction], side: int) -> int
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _squarefree_part(p: list[int]) -> list[int]:
-    g = _poly_gcd(p, _deriv(p))
-    if len(g) <= 1:
-        return _prim(p)
-    return _exact_div(p, g)
-
-
 def _count_between(chain: list[list[int]], lo: Optional[Fraction],
                    hi: Optional[Fraction]) -> int:
     """Roots in (lo, hi] of the squarefree polynomial whose Sturm chain
-    is ``chain``; None endpoints are infinite."""
+    is ``chain``; None endpoints are infinite.  With both endpoints
+    infinite p need not be squarefree: the count is of its distinct real
+    roots (Basu, Pollack & Roy, *Algorithms in Real Algebraic Geometry*,
+    Thm 2.50)."""
     return _variations(chain, lo, -1) - _variations(chain, hi, +1)
 
 
@@ -393,7 +360,7 @@ def _regular_chain_verdict(p: list[int]) -> Optional[bool]:
     Sturm remainder.  A regular chain (degrees d, d-1, ..., 0) makes p
     squarefree, and p is hyperbolic iff every leading coefficient has the
     sign of lc(p).  None means a zero or degree-gapped remainder: p may
-    have a repeated root, and the caller decides with the Sturm/gcd path.
+    have a repeated root, and the caller decides with p's Sturm chain.
     """
     positive = p[-1] > 0
     f, g = p, _deriv(p)
@@ -422,13 +389,12 @@ def _regular_chain_verdict(p: list[int]) -> Optional[bool]:
 
 
 def _sturm_hyperbolic(p: list[int]) -> bool:
-    """Hyperbolicity of the primitive integer polynomial p from Sturm
-    counts of its squarefree part and a recursion on gcd(p, p')."""
-    g = _poly_gcd(p, _deriv(p))
-    h = p if len(g) <= 1 else _exact_div(p, g)
-    if _count_between(_sturm_chain(h), None, None) != len(h) - 1:
-        return False
-    return len(g) <= 1 or is_hyperbolic(g)
+    """Hyperbolicity of the primitive integer polynomial p from its Sturm
+    chain: the chain ends in gcd(p, p'), so p has deg p - deg gcd
+    distinct roots, and p is hyperbolic iff all of them are real.  The
+    roots of the gcd are roots of p, so multiplicities need no recursion."""
+    chain = _sturm_chain(p)
+    return _count_between(chain, None, None) == len(p) - len(chain[-1])
 
 
 def is_hyperbolic(coeffs: Sequence[Rational]) -> bool:
@@ -437,8 +403,8 @@ def is_hyperbolic(coeffs: Sequence[Rational]) -> bool:
     Decided from one reduced subresultant chain of p and p' when that
     chain is regular, which needs no gcd.  A zero or degree-gapped
     remainder (a repeated root, or a gap that only complex roots cause)
-    falls back to Sturm counts of the squarefree part plus a recursion
-    on gcd(p, p').
+    falls back to the Sturm chain of p, which counts its distinct real
+    roots and ends in gcd(p, p').
     """
     if all(type(c) is int for c in coeffs):
         p = _trim(list(coeffs))
@@ -452,11 +418,16 @@ def is_hyperbolic(coeffs: Sequence[Rational]) -> bool:
 
 
 def _rational_chain(coeffs: Sequence[Fraction]) -> list[list[int]]:
-    """Sturm chain of the squarefree part of a nonzero rational polynomial."""
+    """Sturm chain of the squarefree part p / gcd(p, p') of a nonzero
+    rational polynomial; the gcd is the last member of p's own chain,
+    which is the answer when p is squarefree."""
     p = _trim(_clear_denominators(coeffs))
     if not p:
         raise ValueError("zero polynomial has no root count")
-    return _sturm_chain(_squarefree_part(p))
+    chain = _sturm_chain(p)
+    if len(chain[-1]) <= 1:  # p is squarefree
+        return chain
+    return _sturm_chain(_exact_div(chain[0], chain[-1]))
 
 
 def sturm_count(

@@ -532,7 +532,7 @@ class TestCache:
         path.write_text(json.dumps(obj))
         code, out, _ = run(capsys, "expand", "--k", "1", "--n", "300", "--format", "csv")
         assert code == 0
-        assert out.splitlines()[251] == "250,%s" % delta_table(1, 300)[250]
+        assert out.splitlines()[251] == "250,%s" % delta_table(1, 300).coeffs[250]
 
     def test_fresh_table_checked_against_oracle(self, capsys, monkeypatch):
         table = delta_table(1, 20)

@@ -20,7 +20,6 @@ from bkd.positivity import (
     phi_poly,
     pi_bounds,
     psi_poly,
-    sqrt_bounds,
     sturm_count,
     tau_positivity_check,
 )
@@ -31,14 +30,6 @@ class TestEnclosures:
         lo, hi = pi_bounds(128)
         assert Fraction(103993, 33102) < lo < hi < Fraction(355, 113)
         assert hi - lo < Fraction(1, 2**120)
-
-    def test_sqrt_bounds(self):
-        lo, hi = sqrt_bounds(Fraction(2), 128)
-        assert lo * lo < 2 < hi * hi
-        assert hi - lo < Fraction(1, 2**120)
-        assert sqrt_bounds(0) == (0, 0)
-        with pytest.raises(ValueError):
-            sqrt_bounds(-1)
 
 
 class TestPolyQ:
@@ -167,21 +158,25 @@ class TestHyperbolic:
 
 
 def _sturm_verdict(coeffs):
-    """The retained Sturm/gcd path on its own."""
+    """The Sturm-chain fallback on its own."""
     return positivity._sturm_hyperbolic(positivity._prim(list(coeffs)))
 
 
-# (x+1)^2 (x+2) (x+3), (x+1)^2 (x+2), x^4 + 1, x^3
+# (x+1)^2 (x+2) (x+3), (x+1)^2 (x+2), x^4 + 1, x^3, (x+1)^3 (x+2),
+# (x-1)^2 (x+2)^2, (x-2)^2 (x-1) (x^2+2)
 FALLBACK_POLYS = [
     ([6, 17, 17, 7, 1], True),
     ([2, 5, 4, 1], True),
     ([1, 0, 0, 0, 1], False),
     ([0, 0, 0, 1], True),
+    ([2, 7, 9, 5, 1], True),
+    ([4, -4, -3, 2, 1], True),
+    ([-8, 16, -14, 10, -5, 1], False),
 ]
 
 
 class TestSubresultantChain:
-    """The regular-chain decision against the retained Sturm/gcd path."""
+    """The regular-chain decision against the Sturm-chain fallback."""
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_agrees_with_sturm_path_on_jensen_polynomials(self, table1, table2, d):
@@ -197,16 +192,25 @@ class TestSubresultantChain:
     @pytest.mark.parametrize("coeffs,expected", FALLBACK_POLYS)
     def test_irregular_chain_falls_back(self, coeffs, expected, monkeypatch):
         assert positivity._regular_chain_verdict(coeffs) is None
-        calls = []
-        sturm = positivity._sturm_hyperbolic
+        calls, chains = [], []
+        sturm, chain = positivity._sturm_hyperbolic, positivity._sturm_chain
 
         def spy(p):
             calls.append(p)
             return sturm(p)
 
+        def chain_spy(p):
+            chains.append(p)
+            return chain(p)
+
+        def unreachable(*args):
+            raise RuntimeError("the fallback divided by the gcd")
+
         monkeypatch.setattr(positivity, "_sturm_hyperbolic", spy)
+        monkeypatch.setattr(positivity, "_sturm_chain", chain_spy)
+        monkeypatch.setattr(positivity, "_exact_div", unreachable)
         assert is_hyperbolic(coeffs) == expected
-        assert calls and calls[0] == coeffs
+        assert calls == [coeffs] and chains == [coeffs]
 
     def test_regular_path_needs_no_gcd(self, table1, monkeypatch):
         cases = [jensen_coeffs(table1, d, n) for d in (2, 3, 4, 5) for n in range(0, 400, 3)]
@@ -216,9 +220,9 @@ class TestSubresultantChain:
         expected = [_sturm_verdict(c) for c in cases]
 
         def unreachable(*args):
-            raise RuntimeError("the Sturm/gcd path ran on a regular chain")
+            raise RuntimeError("the Sturm fallback ran on a regular chain")
 
-        for name in ("_poly_gcd", "_exact_div", "_sturm_chain", "_sturm_hyperbolic"):
+        for name in ("_exact_div", "_sturm_chain", "_sturm_hyperbolic"):
             monkeypatch.setattr(positivity, name, unreachable)
         assert [is_hyperbolic(c) for c in cases] == expected
         assert not all(expected)  # both verdicts occur
