@@ -18,19 +18,22 @@ Exit codes: 0 all checks pass, 1 mathematical counterexample found,
 2 precision-inconclusive outcome, 3 usage error, 4 internal error (the
 traceback goes to stderr; no verdict was reached).
 
+`verify dlog` and `scan conjecture` compare exact products of 2^(r-1)
+table values; an --r at which one could pass 2^22 bits is a usage error.
+
 Expanded tables are cached under $BKD_CACHE_DIR (default ~/.cache/bkd),
 one file per k, and reused for any smaller N.  A file is used only when
-its k and N fit the request, its hash, which covers the expansion
-algorithm's tag, k, N and every coefficient, matches, and its first values
-agree with the log-derivative oracle.  `bkd expand` prints the same hash as
-its checksum.
+its k and N fit the request, its SHA-256 matches, and its first values
+agree with the log-derivative oracle.  The SHA-256 covers the expansion
+algorithm's tag, k, N and the decimal string of every coefficient, exactly
+as str() writes it; `bkd expand` prints it as its checksum.  It comes from
+CPython's builtin SHA-256 module, so no command loads OpenSSL.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import json
 import math
@@ -42,7 +45,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
 
 from . import inequalities
-from .etaseries import PartitionTable, delta_oracle_logderiv, delta_table
+from .etaseries import PartitionTable, delta_oracle_logderiv, delta_table, json_digest
 from .report import CheckOutcome, VerificationReport
 
 EXIT_PASS = 0
@@ -79,19 +82,21 @@ def _read_cache(path: str, k: int, N: int) -> Optional[PartitionTable]:
     """The cached table at ``path`` cut to delta_k(0..N), or None.
 
     A file is trusted only when it holds delta_k for this k, reaches at
-    least N, and its stored hash equals :meth:`PartitionTable.content_hash`
-    of what it holds, which covers the algorithm tag, k, N and every
-    coefficient.
+    least N, and its stored hash equals the :func:`json_digest` of the
+    decimal strings it stores, which must be exactly as ``str`` writes
+    them.  So the hash covers the algorithm tag, k, N and every
+    coefficient, and only delta_k(0..N) are converted to integers.
     """
     try:
         with open(path, "r", encoding="utf-8") as fp:
             obj = json.load(fp)
-        cached = PartitionTable.from_json_obj(obj)
+        digits = obj["coeffs"]
+        if (obj["k"] != k or obj["N"] < N or len(digits) != obj["N"] + 1
+                or obj.get("sha256") != json_digest(obj)):
+            return None
+        return PartitionTable(k=k, N=N, coeffs=tuple(map(int, digits[: N + 1])))
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    if cached.k != k or cached.N < N or obj.get("sha256") != cached.content_hash():
-        return None
-    return PartitionTable(k=k, N=N, coeffs=cached.coeffs[: N + 1])
 
 
 def _write_cache(path: str, table: PartitionTable) -> None:
@@ -102,7 +107,7 @@ def _write_cache(path: str, table: PartitionTable) -> None:
     removes its temporary file and is otherwise ignored.
     """
     obj = table.to_json_obj()
-    obj["sha256"] = table.content_hash()
+    obj["sha256"] = json_digest(obj)
     directory = os.path.dirname(path)
     try:
         os.makedirs(directory, exist_ok=True)
@@ -252,6 +257,19 @@ CHECKS = {
 ALL_CHECKS = tuple(CHECKS) + ("bessel", "phi-psi")
 
 
+DLOG_MAX_BITS = 1 << 22  # the exact products of one D^r log sign; 512 KiB each
+
+
+def _check_dlog_order(r: int, top: int) -> None:
+    """Refuse an order r at which :func:`inequalities.dlog_sign` could form
+    a product of more than DLOG_MAX_BITS bits.  Each of its two products
+    has factors a(n+j)^C(r,j) whose exponents sum to 2^(r-1), so it has at
+    most 2^(r-1) times the bits of ``top``, the largest value it reads."""
+    if top.bit_length() << (r - 1) > DLOG_MAX_BITS:
+        raise UsageError("--r %d is too large: its exact products could pass "
+                         "%d bits" % (r, DLOG_MAX_BITS))
+
+
 def _verify_range(args, check: Check) -> int:
     """Run a check of the table on [--from, --to] and print its report."""
     value = getattr(args, check.option) if check.option else None
@@ -271,6 +289,8 @@ def _verify_range(args, check: Check) -> int:
         rows = [] if args.format == "csv" else None
         leading, extra = (prec, rows), {"prec": prec}
     table = load_table(args.k, args.to + (check.lookahead or value))
+    if check.option == "r":
+        _check_dlog_order(value, table.coeffs[-1])
     report = inequalities.scan_check(table, check.report.format(value),
                                      partial(check.evaluate, table, *leading),
                                      args.from_n, args.to, collect_margins=args.margins)
@@ -287,6 +307,8 @@ def _ratio_csv_rows(k: int, table, prec: int, rows) -> str:
     ``rows`` holds (n, outcome, bounds, factors): the ratio bounds and
     (g, G) the check computed, or None, in which case they are computed here.
     """
+    import csv
+
     from . import asymptotic
 
     buf = io.StringIO()
@@ -428,6 +450,7 @@ def _cmd_scan(args) -> int:
     if args.r is None:
         raise UsageError("scan conjecture requires --r")
     table = load_table(args.k, args.to + args.r)
+    _check_dlog_order(args.r, table.coeffs[-1])
     t0 = time.perf_counter()
     candidate, report = inequalities.conjecture_threshold(table, args.r, args.to)
     obj = {
@@ -446,6 +469,10 @@ def _cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+R_HELP = ("order r of D^r log; an r at which one exact product could pass "
+          "2^22 bits is a usage error")
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="bkd", description=__doc__,
@@ -469,7 +496,7 @@ def build_parser() -> _Parser:
     common(p_verify)
     p_verify.add_argument("--from", dest="from_n", type=int, default=1)
     p_verify.add_argument("--to", type=int, default=None)
-    p_verify.add_argument("--r", type=int, default=None)
+    p_verify.add_argument("--r", type=int, default=None, help=R_HELP)
     p_verify.add_argument("--d", type=int, default=None)
     p_verify.add_argument("--prec", default=None, help="bits, or 'auto'")
     p_verify.add_argument("--z-grid", dest="z_grid", default=None,
@@ -481,7 +508,7 @@ def build_parser() -> _Parser:
     p_scan = sub.add_parser("scan", help="threshold scans")
     p_scan.add_argument("what")
     common(p_scan)
-    p_scan.add_argument("--r", type=int, default=None)
+    p_scan.add_argument("--r", type=int, default=None, help=R_HELP)
     p_scan.add_argument("--to", type=int, required=True)
     p_scan.set_defaults(handler=_cmd_scan)
 
@@ -498,6 +525,8 @@ def _validate(args) -> None:
     for flag in ("r", "d"):
         if getattr(args, flag, None) is not None and getattr(args, flag) < 1:
             raise UsageError("--%s must be >= 1" % flag)
+    if getattr(args, "r", None) is not None:
+        _check_dlog_order(args.r, 2)  # a(n) >= 2 for n >= 1: refused before any table
     from_n = getattr(args, "from_n", 1)
     if from_n < 1:
         raise UsageError("--from must be >= 1")

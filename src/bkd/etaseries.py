@@ -11,19 +11,22 @@ of one such quotient:
 
 Two independent algorithms are provided:
 
-* :func:`expand_eta_quotient` multiplies and divides a dense coefficient
-  array by sparse series for the factors (q^m;q^m)_inf, where
-  (a;q)_inf = prod_{n>=0} (1 - a q^n).  Two classical identities
-  (Andrews, *The Theory of Partitions*, 1976, ch. 1-2) give the series:
+* :func:`expand_eta_quotient` multiplies and divides by sparse series for
+  the factors (q^m;q^m)_inf, where (a;q)_inf = prod_{n>=0} (1 - a q^n).
+  Two classical identities (Andrews, *The Theory of Partitions*, 1976,
+  ch. 1-2) give the series:
 
       Euler:  (q^m;q^m)_inf   = sum_{j in Z}  (-1)^j q^{m j(3j-1)/2}
       Jacobi: (q^m;q^m)_inf^3 = sum_{j >= 0} (-1)^j (2j+1) q^{m j(j+1)/2}
 
-  Truncated at q^N they have O(sqrt(N/m)) terms, so one pass costs
-  O(N^1.5) integer operations.  For k >= 1 a table of delta_k(0..N)
-  takes four passes: Jacobi's series divides out (q;q)^3 and Euler's
-  series handles the other three factors.  Division needs no inverse series: the divisor
-  has constant term 1, so the quotient is a recurrence.
+  Truncated at q^N they have O(sqrt(N/m)) terms.  The factors with positive
+  exponents are multiplied term by term into a sparse product; each factor
+  with a negative exponent is then divided out by a dense pass over the
+  coefficient array, O(N^1.5) integer operations.  For k >= 1 a table of
+  delta_k(0..N) takes two such passes: Jacobi's series divides out
+  (q;q)^3 and Euler's series (q^{4k+2};q^{4k+2}).  Division needs no
+  inverse series: the divisor has constant term 1, so the quotient is a
+  recurrence.
 * :func:`delta_oracle_logderiv` runs the logarithmic-derivative recurrence
   n f_n = sum_j w_j f_{n-j} driven by divisor sums.
 
@@ -34,17 +37,24 @@ over Python's arbitrary-precision integers; no floating point is used.
 
 from __future__ import annotations
 
-import csv
 import functools
-import hashlib
 import io
 import json
 from collections import Counter
-from itertools import islice, repeat
-from operator import add, mul
+from itertools import islice
+from operator import mul
 from typing import Iterable, Sequence
 
 from .report import FrozenRecord
+
+# CPython's builtin SHA-256; hashlib would load OpenSSL for this one digest
+try:
+    from _sha256 import sha256  # CPython 3.10-3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "ALGORITHM",
@@ -54,6 +64,7 @@ __all__ = [
     "expand_eta_quotient",
     "delta_table",
     "delta_oracle_logderiv",
+    "json_digest",
 ]
 
 # names the expansion behind every table; content_hash covers it, so a
@@ -144,13 +155,22 @@ def _jacobi_series(m: int, N: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _multiply(f: list[int], series: list[tuple[int, int]]) -> list[int]:
-    """f * (1 + series), truncated to len(f) terms."""
-    n = len(f)
-    g = f[:]
-    for e, c in series:
-        g[e:] = map(add, g[e:], map(mul, f[: n - e], repeat(c)))
-    return g
+def _sparse_product(passes: list[list[tuple[int, int]]], N: int) -> list[int]:
+    """prod (1 + series) over ``passes``, truncated to N+1 terms.
+
+    Each pass multiplies term by term: every nonzero term of the product so
+    far times every term of the series.  The series are sparse, so this
+    costs far fewer operations than a pass over all N+1 entries.
+    """
+    c = [0] * (N + 1)
+    c[0] = 1
+    for series in passes:
+        for a, v in [(a, v) for a, v in enumerate(c) if v]:
+            for e, s in series:
+                if a + e > N:
+                    break
+                c[a + e] += s * v
+    return c
 
 
 def _divide(f: list[int], series: list[tuple[int, int]]) -> list[int]:
@@ -174,24 +194,24 @@ def expand_eta_quotient(spec: EtaQuotientSpec, N: int) -> list[int]:
     """First N+1 coefficients of the eta quotient described by ``spec``.
 
     A factor (m, e) becomes |e| // 3 passes of Jacobi's series for
-    (q^m;q^m)^3 and |e| % 3 passes of Euler's series for (q^m;q^m).  A
-    pass multiplies the dense array by the sparse series when e > 0 and
-    divides it when e < 0.  Multiplications run first and divisions
-    last, which keeps the intermediate values small.  A series of modulus
-    m has O(sqrt(N/m)) terms, so a pass costs O(N sqrt(N/m)) integer
-    operations.
+    (q^m;q^m)^3 and |e| % 3 passes of Euler's series for (q^m;q^m).  The
+    passes with e > 0 form a sparse product, which the passes with e < 0
+    then divide, each in one dense pass.  Dividing last keeps the
+    intermediate values small.  A series of modulus m has O(sqrt(N/m))
+    terms, so a division costs O(N sqrt(N/m)) integer operations.
     """
     if N < 0:
         raise ValueError("truncation order must be >= 0, got %r" % (N,))
     if not isinstance(spec, EtaQuotientSpec):
         spec = EtaQuotientSpec.from_factors(spec)
-    c = [0] * (N + 1)
-    c[0] = 1
-    for m, e in sorted(spec.factors, key=lambda factor: factor[1] < 0):
+    multipliers, divisors = [], []
+    for m, e in spec.factors:
         cubes, singles = divmod(abs(e), 3)
         passes = [_jacobi_series(m, N)] * cubes + [_euler_series(m, N)] * singles
-        for series in passes:
-            c = _multiply(c, series) if e > 0 else _divide(c, series)
+        (multipliers if e > 0 else divisors).extend(passes)
+    c = _sparse_product(multipliers, N)
+    for series in divisors:
+        _divide(c, series)
     return c
 
 
@@ -227,6 +247,8 @@ class PartitionTable(FrozenRecord):
     # -- serialization ------------------------------------------------------
 
     def to_csv(self) -> str:
+        import csv
+
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["n", "delta"])
@@ -247,10 +269,34 @@ class PartitionTable(FrozenRecord):
 
     def content_hash(self) -> str:
         """SHA-256 of the algorithm tag, k, N and every coefficient."""
-        h = hashlib.sha256()
-        h.update(("%s:%d:%d:" % (ALGORITHM, self.k, self.N)).encode())
-        h.update(",".join(str(v) for v in self.coeffs).encode())
-        return h.hexdigest()
+        return _digest(self.k, self.N, ",".join(map(str, self.coeffs)).encode())
+
+
+def _digest(k: int, N: int, digits: bytes) -> str:
+    """SHA-256 of the algorithm tag, k, N and the comma-joined decimal
+    strings of the coefficients."""
+    h = sha256(("%s:%d:%d:" % (ALGORITHM, k, N)).encode())
+    h.update(digits)
+    return h.hexdigest()
+
+
+def json_digest(obj: dict) -> str:
+    """The :meth:`PartitionTable.content_hash` of a table in the form that
+    :meth:`PartitionTable.to_json_obj` writes, hashed from its strings.
+
+    Each coefficient must be the decimal string of a positive integer as
+    ``str`` writes it: ASCII digits without a leading zero, sign or space.
+    So a matching digest vouches for exactly the table that was written.
+    Raises ValueError on any other string and TypeError on a non-string.
+    """
+    coeffs = obj["coeffs"]
+    digits = ",".join(coeffs).encode("ascii")
+    # only digits and separators, no separator inside an entry, and no entry
+    # that is empty or starts with 0: among digit strings, those sort below "1"
+    if (digits.translate(None, b"0123456789,") or digits.count(b",") != len(coeffs) - 1
+            or min(coeffs) < "1"):
+        raise ValueError("coefficients are not canonical positive decimal strings")
+    return _digest(obj["k"], obj["N"], digits)
 
 
 @functools.lru_cache(maxsize=32)
@@ -311,16 +357,12 @@ def eta_oracle_coeffs(spec: EtaQuotientSpec, N: int) -> list[int]:
     """
     if N < 0:
         raise ValueError("truncation order must be >= 0, got %r" % (N,))
-    w = logderiv_weights(spec, N)
+    w = logderiv_weights(spec, N)[1:]
     f = [0] * (N + 1)
     f[0] = 1
     for n in range(1, N + 1):
-        s = 0
-        for j in range(1, n + 1):
-            wj = w[j]
-            if wj:
-                s += wj * f[n - j]
-        q, r = divmod(s, n)
+        # sum_j w_j f_{n-j} for j = 1..n
+        q, r = divmod(sum(map(mul, w, f[n - 1 :: -1])), n)
         if r:
             raise AssertionError(
                 "inexact division at n=%d: the recurrence weights are wrong" % n

@@ -6,7 +6,6 @@ interval or certificate check answers with a :class:`CheckOutcome`.
 
 from __future__ import annotations
 
-import csv
 import enum
 import io
 from typing import Optional
@@ -136,6 +135,8 @@ class VerificationReport(Record):
         """Per-n exact integer margins as CSV (only if margins were kept)."""
         if self.margins is None:
             raise ValueError("report was produced without margins")
+        import csv
+
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["n", "margin"])

@@ -14,7 +14,7 @@ import pytest
 import bkd
 from bkd import cli, positivity
 from bkd.cli import main
-from bkd.etaseries import PartitionTable, delta_table
+from bkd.etaseries import ALGORITHM, PartitionTable, delta_table
 
 SRC = str(Path(bkd.__file__).resolve().parent.parent)
 
@@ -378,6 +378,43 @@ class TestImports:
         assert proc.returncode != 99, "the command imported mpmath"
         assert proc.returncode == code, proc.stderr
 
+    @pytest.mark.parametrize("argv,code,writes_csv", [
+        (["expand", "--k", "1", "--n", "60", "--format", "text"], 0, False),
+        (["expand", "--k", "1", "--n", "60", "--format", "json"], 0, False),
+        (["expand", "--k", "1", "--n", "60"], 0, True),
+        (["verify", "logconcave", "--k", "1", "--to", "50"], 0, False),
+        (["verify", "logconcave", "--k", "1", "--to", "50", "--margins", "--format", "csv"],
+         0, True),
+        (["verify", "turan3", "--k", "1", "--to", "50"], 1, False),
+        (["verify", "theta-mono", "--k", "2", "--to", "50"], 1, False),
+        (["verify", "dlog", "--k", "1", "--r", "3", "--to", "50"], 1, False),
+        (["verify", "jensen", "--k", "1", "--d", "4", "--to", "50"], 1, False),
+        (["verify", "sandwich", "--k", "1", "--from", "3512", "--to", "3513"], 0, False),
+        (["verify", "sandwich", "--k", "1", "--from", "3512", "--to", "3513",
+          "--format", "csv"], 0, True),
+        (["verify", "theta-bounds", "--k", "1", "--from", "3512", "--to", "3513"], 0, False),
+        (["verify", "bessel", "--z-grid", "1484:1600:2", "--format", "json"], 0, False),
+        (["verify", "phi-psi"], 0, False),
+        (["scan", "conjecture", "--k", "2", "--r", "3", "--to", "50"], 0, False),
+    ])
+    def test_commands_load_no_openssl_and_csv_only_for_csv(self, cache_dir, argv, code,
+                                                          writes_csv):
+        # each command in a fresh interpreter: one command's imports cannot
+        # hide another's
+        proc = run_fresh("""
+            import sys
+            preloaded = {"_hashlib", "csv"} & set(sys.modules)
+            from bkd.cli import main
+            code = main(%r)
+            print("loaded:", *sorted({"_hashlib", "csv"} & set(sys.modules) - preloaded),
+                  file=sys.stderr)
+            sys.exit(code)
+        """ % (argv,), cache_dir)
+        assert proc.returncode == code, proc.stderr
+        loaded = proc.stderr.splitlines()[-1].split()[1:]
+        assert "_hashlib" not in loaded, "the command loaded OpenSSL"
+        assert ("csv" in loaded) == writes_csv, loaded
+
     def test_expand_never_imports_dataclasses(self, cache_dir):
         proc = run_fresh("""
             import sys
@@ -534,6 +571,48 @@ class TestCache:
         assert code == 0
         assert out.splitlines()[251] == "250,%s" % delta_table(1, 300).coeffs[250]
 
+    @staticmethod
+    def _write_table(path, coeffs, digits):
+        """A cache file of delta_1(0..N) holding ``coeffs``, hashed with
+        hashlib over ``digits``, the strings an earlier version hashed."""
+        N = len(coeffs) - 1
+        data = ("%s:1:%d:" % (ALGORITHM, N) + ",".join(digits)).encode()
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps({"k": 1, "N": N, "coeffs": coeffs,
+                                    "sha256": hashlib.sha256(data).hexdigest()}))
+
+    @staticmethod
+    def _spy_delta_table(monkeypatch):
+        calls = []
+
+        def spy(k, N):
+            calls.append((k, N))
+            return delta_table(k, N)
+
+        monkeypatch.setattr(cli, "delta_table", spy)
+        return calls
+
+    def test_hashlib_digest_file_is_a_hit(self, capsys, monkeypatch, cache_dir):
+        digits = [str(v) for v in delta_table(1, 60).coeffs]
+        self._write_table(cache_dir / "delta_k1.json", digits, digits)
+        calls = self._spy_delta_table(monkeypatch)
+        code, out, _ = run(capsys, "expand", "--k", "1", "--n", "40", "--format", "csv")
+        assert code == 0 and calls == []
+        assert out.splitlines()[-1] == "40,%d" % delta_table(1, 40).coeffs[40]
+
+    @pytest.mark.parametrize("entry", ["018", "+18", "18 ", 18])
+    def test_non_canonical_entry_rebuilt(self, capsys, monkeypatch, cache_dir, entry):
+        # the digest matches the stored strings, and int() reads each as 18
+        digits = [str(v) for v in delta_table(1, 60).coeffs]
+        coeffs = digits[:3] + [entry] + digits[4:]
+        self._write_table(cache_dir / "delta_k1.json", coeffs,
+                          digits[:3] + [str(entry)] + digits[4:])
+        calls = self._spy_delta_table(monkeypatch)
+        code, out, _ = run(capsys, "expand", "--k", "1", "--n", "60", "--format", "csv")
+        assert code == 0 and calls == [(1, 60)]
+        assert out.splitlines()[4] == "3,18"
+        assert json.loads((cache_dir / "delta_k1.json").read_text())["coeffs"][3] == "18"
+
     def test_fresh_table_checked_against_oracle(self, capsys, monkeypatch):
         table = delta_table(1, 20)
         coeffs = table.coeffs[:7] + (table.coeffs[7] + 1,) + table.coeffs[8:]
@@ -588,6 +667,34 @@ class TestUsage:
     def test_out_of_range_arguments(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 3 and err.startswith("usage error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "dlog", "--k", "1", "--r", "40", "--to", "100000"),
+        ("scan", "conjecture", "--k", "1", "--r", "40", "--to", "100000"),
+    ])
+    def test_dlog_order_refused_before_any_table(self, capsys, monkeypatch, argv):
+        def no_work(*args):
+            raise RuntimeError("work started before the usage check")
+
+        monkeypatch.setattr(cli, "load_table", no_work)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("usage error: --r 40 is too large")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "dlog", "--k", "1", "--r", "19", "--to", "50"),
+        ("scan", "conjecture", "--k", "1", "--r", "19", "--to", "50"),
+    ])
+    def test_dlog_order_refused_before_the_scan(self, capsys, monkeypatch, argv):
+        # 2^18 times the bits of delta_1(69) passes 2^22, though 2^19 alone does not
+        def no_scan(*args, **kwargs):
+            raise RuntimeError("the scan started before the usage check")
+
+        monkeypatch.setattr(cli.inequalities, "scan_check", no_scan)
+        monkeypatch.setattr(cli.inequalities, "conjecture_threshold", no_scan)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("usage error: --r 19 is too large")
 
     @pytest.mark.parametrize("argv", [
         ("verify", "logconcave", "--k", "1", "--to", "5"),

@@ -1,10 +1,12 @@
+import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bkd.etaseries import (
+    ALGORITHM,
     EtaQuotientSpec,
     PartitionTable,
     broken_diamond_spec,
@@ -12,6 +14,7 @@ from bkd.etaseries import (
     delta_table,
     eta_oracle_coeffs,
     expand_eta_quotient,
+    json_digest,
     table_prefix_equal,
 )
 
@@ -108,12 +111,17 @@ class TestOracle:
     def test_k2_order_zero(self):
         assert delta_oracle_logderiv(2, 0) == [1]
 
-    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("k", range(7))
     def test_oracle_equivalence_medium(self, k):
-        table = delta_table(k, 300)
-        assert list(table.coeffs) == delta_oracle_logderiv(k, 300)
+        table = delta_table(k, 400)
+        assert list(table.coeffs) == delta_oracle_logderiv(k, 400)
 
     @settings(max_examples=60, deadline=None)
+    # a positive exponent of 3 or more multiplies by Jacobi's series
+    @example(exps={1: 3}, order=400)
+    @example(exps={1: -1, 2: 3}, order=400)
+    @example(exps={1: -3, 3: 4, 5: -2}, order=400)
+    @example(exps={1: -5, 2: 7, 4: 1}, order=400)
     @given(
         exps=st.dictionaries(
             st.integers(min_value=1, max_value=6),
@@ -146,3 +154,22 @@ class TestSerialization:
 
     def test_content_hash_changes_with_k(self):
         assert delta_table(1, 5).content_hash() != delta_table(2, 5).content_hash()
+
+    def test_content_hash_is_hashlib_sha256(self):
+        table = delta_table(1, 300)
+        data = "%s:1:300:%s" % (ALGORITHM, ",".join(map(str, table.coeffs)))
+        expected = hashlib.sha256(data.encode()).hexdigest()
+        assert table.content_hash() == expected
+        assert json_digest(table.to_json_obj()) == expected
+
+    @pytest.mark.parametrize("entry,error", [
+        ("018", ValueError), ("+18", ValueError), ("18 ", ValueError),
+        (" 18", ValueError), ("1_8", ValueError), ("-18", ValueError),
+        ("\u0661\u0668", ValueError), ("", ValueError), ("0", ValueError),
+        ("1,8", ValueError), (18, TypeError), (None, TypeError),
+    ])
+    def test_json_digest_only_of_canonical_strings(self, entry, error):
+        obj = delta_table(1, 5).to_json_obj()
+        obj["coeffs"][3] = entry
+        with pytest.raises(error):
+            json_digest(obj)
