@@ -6,11 +6,15 @@ ratio Theta(n) = delta(n-1) delta(n+1)/delta(n)^2 is bracketed both by
 closed-form polynomials in 1/x and by the Lambda g / Lambda G sandwich.
 """
 
+from fractions import Fraction
+
 from bkd.asymptotic import (
-    envelope_sandwich_outcome,
+    alpha,
+    bessel_remainder_margin,
     lambda_bounds_check,
     main_term,
     main_term_sandwich,
+    margin_outcome,
     ratio_bounds,
     sandwich_check,
     tail_factors,
@@ -18,6 +22,7 @@ from bkd.asymptotic import (
     x_param,
 )
 from bkd.etaseries import delta_table
+from bkd.intervals import sqrt_rational_interval
 
 N = 6000
 tables = {k: delta_table(k, N) for k in (1, 2)}
@@ -48,11 +53,17 @@ for k in (1, 2):
     g, G = tail_factors(k, 3512)
     print("        g ~ %.15f, G ~ %.15f" % (float(g), float(G)))
 
-# the printed envelope pair is ordered the wrong way around; the
-# corrected orientation is the one the two-sided remainder bound yields
-print("\nenvelope sandwich at t=1000, printed orientation:",
-      envelope_sandwich_outcome(1, 1000, orientation="printed").value)
-print("envelope sandwich at t=1000, corrected orientation:",
-      envelope_sandwich_outcome(1, 1000, orientation="corrected").value)
+# the paper's envelope pair (phi, Phi) for I_2(z) e^{-z} sqrt(2 pi z) at
+# z = sqrt(alpha_k) t is the five-term main part +/- g6/t^6, and
+# g6/t^6 = 73/z^6.  As printed, +g6/t^6 sits on phi, so phi - Phi = 146/z^6
+# > 0: the printed pair is empty for every t > 0, an exact fact.  With the
+# signs swapped the pair is the 73/z^6 remainder bound at z.
+t = 1000
+z_squared = alpha(1) * t**2
+print("\nenvelope pair at t=1000, printed: phi - Phi = 146/z^6 = %.3e > 0, "
+      "an empty pair -> fail" % float(Fraction(146) / z_squared**3))
+z = sqrt_rational_interval(alpha(1), 384) * t
+print("envelope pair at t=1000, corrected: remainder bound at z = %.3f -> %s"
+      % (float(z), margin_outcome(bessel_remainder_margin(z)).value))
 
 print("\nexact Theta_1(3512) =", theta_exact(tables[1], 3512))

@@ -3,10 +3,9 @@
 Everything the exact tables are confronted with lives here: the size
 parameter x_k(n) = pi sqrt(24n - 2k - 2)/6, the modified Bessel function
 I_nu by its all-positive ascending series, the main asymptotic term
-M_k(n), remainder bounds for I_2(z) e^{-z} sqrt(2 pi z), the six-term
-asymptotic envelopes, closed-form bounds for the ratio
-Lambda_k(n) = M(n-1) M(n+1) / M(n)^2 and for Theta_k(n), and the
-neighbor-correction factors g_k, G_k.
+M_k(n), remainder bounds for I_2(z) e^{-z} sqrt(2 pi z), closed-form
+bounds for the ratio Lambda_k(n) = M(n-1) M(n+1) / M(n)^2 and for
+Theta_k(n), and the neighbor-correction factors g_k, G_k.
 
 Every formula is written with the operators of
 :class:`~bkd.intervals.IntervalReal` on exact ints and Fractions; each
@@ -19,7 +18,8 @@ needs mpmath.
 Hypothesis gating: formulas evaluate anywhere they are defined, but
 claims are only asserted inside their stated validity ranges (size
 parameter >= 152, >= 315, scaled argument >= (15/2)^6/120, ...); outside
-them checks return HYPOTHESIS_NOT_MET rather than a verdict.
+them checks return HYPOTHESIS_NOT_MET rather than a verdict, and
+bessel_remainder_margin, which returns a margin, raises ValueError.
 """
 
 from __future__ import annotations
@@ -53,9 +53,6 @@ __all__ = [
     "between",
     "general_remainder_terms",
     "general_remainder_bound",
-    "gamma_constants",
-    "envelope_pair",
-    "envelope_sandwich_outcome",
     "main_term",
     "main_term_sandwich",
     "theta_exact",
@@ -273,6 +270,10 @@ def bessel_remainder_margin(z, prec: Optional[int] = None) -> IntervalReal:
     The precisions tried are those of :func:`remainder_precisions`; the
     first margin that does not straddle 0, or the last one, is returned,
     and its ``prec`` says which attempt that was.
+
+    z may be an enclosure.  At z = sqrt(alpha_k) t the claim is the
+    paper's envelope pair phi(t) <= I_2(z) e^{-z} sqrt(2 pi z) <= Phi(t),
+    phi and Phi being the main part minus and plus g6/t^6 = 73/z^6.
     """
     z_iv = to_interval(z, 64)
     if z_iv.lo_fraction() < Z_REMAINDER_MIN:
@@ -385,81 +386,6 @@ def general_remainder_terms(
 def general_remainder_bound(nu: int, z, prec: int = DEFAULT_PREC) -> IntervalReal:
     t1, t2, t3 = general_remainder_terms(nu, z, prec)
     return t1 + t2 + t3
-
-
-# ---------------------------------------------------------------------------
-# Asymptotic envelopes
-# ---------------------------------------------------------------------------
-
-def gamma_constants(k: int, prec: int = DEFAULT_PREC) -> tuple[IntervalReal, ...]:
-    """The six envelope coefficients over sqrt(alpha_k):
-
-    15/(8 a^(1/2)), 105/(128 a), 315/(1024 a^(3/2)), 10395/(32768 a^2),
-    135135/(262144 a^(5/2)), 73/a^3   with a = alpha_k.
-    """
-    a = alpha(k)
-    ra = sqrt_rational_interval(a, prec)
-    return (Fraction(15, 8) / ra,
-            to_interval(Fraction(105, 128) / a, prec),
-            Fraction(315, 1024) / a / ra,
-            to_interval(Fraction(10395, 32768) / a**2, prec),
-            Fraction(135135, 262144) / a**2 / ra,
-            to_interval(Fraction(73) / a**3, prec))
-
-
-def envelope_pair(
-    k: int,
-    t,
-    prec: int = DEFAULT_PREC,
-    orientation: str = "printed",
-) -> tuple[IntervalReal, IntervalReal]:
-    """The envelope pair (phi, Phi) at argument t.
-
-    Both polynomials share 1 - g1/t + g2/t^2 + g3/t^3 + g4/t^4 + g5/t^5
-    and differ only in the sign of the g6/t^6 term.  ``orientation``:
-
-    * "printed": phi carries +g6/t^6 and Phi carries -g6/t^6, exactly as
-      the definitions are printed.  Note this makes phi > Phi pointwise.
-    * "corrected": the g6 signs are swapped, which is the orientation
-      actually consistent with the two-sided remainder bound (phi below,
-      Phi above).  See :func:`envelope_sandwich_outcome`.
-    """
-    if orientation not in ("printed", "corrected"):
-        raise ValueError("orientation must be 'printed' or 'corrected'")
-    t_iv = to_interval(t, prec)
-    if t_iv.lo <= 0:
-        raise ValueError("envelopes need t > 0")
-    tt = t_iv.at(prec)
-    g1, g2, g3, g4, g5, g6 = gamma_constants(k, prec)
-    base = 1 - g1 / tt + g2 / tt**2 + g3 / tt**3 + g4 / tt**4 + g5 / tt**5
-    bump = g6 / tt**6
-    if orientation == "printed":
-        phi, big_phi = base + bump, base - bump
-    else:
-        phi, big_phi = base - bump, base + bump
-    return phi, big_phi
-
-
-def envelope_sandwich_outcome(
-    k: int,
-    t,
-    prec: Optional[int] = None,
-    orientation: str = "printed",
-) -> CheckOutcome:
-    """Does phi <= I_2(sqrt(a) t) e^{-...} sqrt(...) <= Phi hold at t?
-
-    Checks the scaled form phi(t) <= I_2(z) e^{-z} sqrt(2 pi z) <= Phi(t)
-    with z = sqrt(alpha_k) t, which is equivalent and numerically tame.
-    Hypothesis: z >= (15/2)^6/120 (t >= ~971 for k in {1, 2}).
-    """
-    p = prec or DEFAULT_PREC
-    t_iv = to_interval(t, p)
-    z = sqrt_rational_interval(alpha(k), p) * t_iv.at(p)
-    if z.lo_fraction() < Z_REMAINDER_MIN:
-        return CheckOutcome.HYPOTHESIS_NOT_MET
-    scaled = scaled_i2(z, p)
-    phi, big_phi = envelope_pair(k, t_iv, p, orientation)
-    return between(phi, scaled, big_phi, strict=False)
 
 
 # ---------------------------------------------------------------------------

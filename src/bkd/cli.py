@@ -12,7 +12,14 @@ loop inequalities.scan_check.  Every `verify` report has the same keys;
 `pass` means no failure and no inconclusive point (points below a claim's
 validity range are skipped).  With --format csv, sandwich and theta-bounds
 print their enclosures per n, and exact checks, which need --margins for
-it, the n,margin integers they compared; bessel and phi-psi have no CSV.
+it, the n,margin integers they compared; bessel, phi-psi and `scan` have
+no CSV.
+
+--prec sets the bits of the interval checks.  Its default, `auto`, means
+for bessel the schedule of asymptotic.remainder_precisions: at each z,
+ceil(6 log2 z) + 64 bits, doubled while the margin straddles 0, up to
+ceil(1.45 z) + 64.  For sandwich and theta-bounds it means 384 bits, the
+interval layer's default.
 
 Exit codes: 0 all checks pass, 1 mathematical counterexample found,
 2 precision-inconclusive outcome, 3 usage error, 4 internal error (the
@@ -447,8 +454,9 @@ def _cmd_verify(args) -> int:
 def _cmd_scan(args) -> int:
     if args.what != "conjecture":
         raise UsageError("unknown scan %r (only 'conjecture')" % args.what)
-    if args.r is None:
-        raise UsageError("scan conjecture requires --r")
+    for flag in ("k", "r"):
+        if getattr(args, flag) is None:
+            raise UsageError("scan conjecture requires --%s" % flag)
     table = load_table(args.k, args.to + args.r)
     _check_dlog_order(args.r, table.coeffs[-1])
     t0 = time.perf_counter()
@@ -472,6 +480,9 @@ def _cmd_scan(args) -> int:
 
 R_HELP = ("order r of D^r log; an r at which one exact product could pass "
           "2^22 bits is a usage error")
+PREC_HELP = ("bits (>= 64), or 'auto', the default: for bessel, ceil(6 log2 z) + 64 "
+             "bits, doubled while a margin is undecided; for sandwich and "
+             "theta-bounds, 384 bits")
 
 
 def build_parser() -> _Parser:
@@ -479,9 +490,9 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats):
         p.add_argument("--k", type=int, default=None)
-        p.add_argument("--format", choices=("csv", "json", "text"), default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None)
 
     p_expand = sub.add_parser("expand", help="write a delta_k table")
@@ -493,12 +504,12 @@ def build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="run a registered check over a range")
     p_verify.add_argument("check")
-    common(p_verify)
+    common(p_verify, ("csv", "json", "text"))
     p_verify.add_argument("--from", dest="from_n", type=int, default=1)
     p_verify.add_argument("--to", type=int, default=None)
     p_verify.add_argument("--r", type=int, default=None, help=R_HELP)
     p_verify.add_argument("--d", type=int, default=None)
-    p_verify.add_argument("--prec", default=None, help="bits, or 'auto'")
+    p_verify.add_argument("--prec", default=None, help=PREC_HELP)
     p_verify.add_argument("--z-grid", dest="z_grid", default=None,
                           help="LO:HI:COUNT logarithmic grid for the bessel check")
     p_verify.add_argument("--margins", action="store_true",
@@ -507,7 +518,7 @@ def build_parser() -> _Parser:
 
     p_scan = sub.add_parser("scan", help="threshold scans")
     p_scan.add_argument("what")
-    common(p_scan)
+    common(p_scan, ("json", "text"))  # no CSV: the scan reports one candidate
     p_scan.add_argument("--r", type=int, default=None, help=R_HELP)
     p_scan.add_argument("--to", type=int, required=True)
     p_scan.set_defaults(handler=_cmd_scan)

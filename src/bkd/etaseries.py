@@ -43,7 +43,7 @@ import json
 from collections import Counter
 from itertools import islice
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .report import FrozenRecord
 
@@ -377,8 +377,3 @@ def delta_oracle_logderiv(k: int, N: int) -> list[int]:
         raise ValueError("k must be >= 0, got %r" % (k,))
     return eta_oracle_coeffs(broken_diamond_spec(k), N)
 
-
-def table_prefix_equal(a: Sequence[int], b: Sequence[int]) -> bool:
-    """True when the shorter sequence is an exact prefix of the longer."""
-    n = min(len(a), len(b))
-    return list(a[:n]) == list(b[:n])

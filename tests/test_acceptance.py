@@ -13,9 +13,10 @@ from fractions import Fraction
 import pytest
 
 from bkd.asymptotic import (
+    alpha,
     bessel_remainder_margin,
-    envelope_sandwich_outcome,
     main_term_sandwich,
+    margin_outcome,
     sandwich_check,
     theta_bounds_check,
 )
@@ -27,6 +28,7 @@ from bkd.inequalities import (
     theta_monotone_margin,
     turan3_margin,
 )
+from bkd.intervals import sqrt_rational_interval
 from bkd.positivity import (
     PositivityCertificate,
     certify_positive_on_ray,
@@ -245,19 +247,31 @@ def test_criterion_12_jensen_scans(scan1, scan2):
 
 
 def test_supplement_envelope_orientation():
-    # the printed envelope pair is ordered the wrong way around for the
-    # two-sided bound; the corrected orientation satisfies it.  This
-    # records the discrepancy rather than silently fixing it.
+    # The paper prints an envelope pair (phi, Phi) for I_2(z) e^{-z}
+    # sqrt(2 pi z) at z = sqrt(alpha_k) t: the five-term main part plus
+    # g6/t^6 on phi and minus g6/t^6 on Phi, g6 = 73/alpha_k^3.  So the
+    # printed phi - Phi = 2 g6/t^6 = 146/z^6 > 0 exactly: the printed pair
+    # is empty for every t > 0, and its sandwich fails with no Bessel value.
+    # Swapping the two signs gives main part -/+ 73/z^6, which is the
+    # remainder bound at z = sqrt(alpha_k) t.  This records the discrepancy
+    # rather than silently fixing it.
     t0 = time.perf_counter()
-    printed = [envelope_sandwich_outcome(k, 1000, orientation="printed")
-               for k in (1, 2)]
-    corrected = [envelope_sandwich_outcome(k, 1000, orientation="corrected")
-                 for k in (1, 2)]
+    t = 1000
+    printed, corrected = [], []
+    for k in (1, 2):
+        g6_over_t6 = Fraction(73) / alpha(k)**3 / t**6
+        assert g6_over_t6 == 73 / (alpha(k) * t**2)**3  # z^2 = alpha_k t^2
+        # an empty pair fails; a nonempty one would need the Bessel value
+        printed.append(CheckOutcome.FAIL if 2 * g6_over_t6 > 0
+                       else CheckOutcome.INCONCLUSIVE)
+        z = sqrt_rational_interval(alpha(k), 384) * t
+        corrected.append(margin_outcome(bessel_remainder_margin(z)))
     ok = all(o is CheckOutcome.FAIL for o in printed) and all(
         o is CheckOutcome.PASS for o in corrected
     )
     assert report("envelope-orientation", ok, time.perf_counter() - t0,
-                  "printed pair fails the sandwich, corrected pair passes")
+                  "printed pair is empty (phi - Phi = 146/z^6), corrected pair "
+                  "is the 73/z^6 remainder bound and passes")
 
 
 def test_supplement_paper_checked_ranges():

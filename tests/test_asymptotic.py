@@ -16,9 +16,6 @@ from bkd.asymptotic import (
     bessel_i,
     between,
     bessel_remainder_margin,
-    envelope_pair,
-    envelope_sandwich_outcome,
-    gamma_constants,
     general_remainder_bound,
     general_remainder_hypothesis_min,
     general_remainder_terms,
@@ -38,7 +35,7 @@ from bkd.asymptotic import (
     x_param,
 )
 from bkd.etaseries import delta_table
-from bkd.intervals import to_interval
+from bkd.intervals import sqrt_rational_interval, to_interval
 from bkd.report import CheckOutcome
 
 # 38-digit bracket around I2(1), from summing the ascending series with a
@@ -263,6 +260,23 @@ class TestRemainder:
     def test_check_outcome(self):
         assert margin_outcome(bessel_remainder_margin(2000)) is CheckOutcome.PASS
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("t", [Fraction(1000), Fraction(12345, 7)],
+                             ids=["t1000", "t12345_7"])
+    def test_enclosed_argument(self, k, t):
+        # z = sqrt(alpha_k) t, where the claim is the paper's envelope pair,
+        # enters as an enclosure and is decided at the first precision
+        z = sqrt_rational_interval(alpha(k), 384) * t
+        margin = bessel_remainder_margin(z)
+        assert margin_outcome(margin) is CheckOutcome.PASS
+        assert margin.prec == remainder_precisions(z)[0]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_enclosed_argument_below_threshold_rejected(self, k):
+        # t = 900: z is about 1375 for k = 1 and 1394 for k = 2, below 1483.15
+        with pytest.raises(ValueError):
+            bessel_remainder_margin(sqrt_rational_interval(alpha(k), 384) * 900)
+
     def test_auto_prec_policy(self):
         # ceil(6 log2 z) + 64: 144 bits at z = 10^4 (was ceil(1.45 z) + 64)
         assert auto_prec(10**4) == 144
@@ -317,44 +331,6 @@ class TestGeneralRemainder:
             general_remainder_bound(1, 5000)
         with pytest.raises(ValueError):
             general_remainder_bound(3, 3000)
-
-
-class TestEnvelopes:
-    def test_limits(self):
-        phi, big = envelope_pair(1, 10**9, 128)
-        assert abs(float(phi) - 1) < 1e-8 and abs(float(big) - 1) < 1e-8
-
-    def test_printed_orientation_is_inverted(self):
-        # printed definitions give phi > Phi pointwise (the +g6 sits on phi)
-        phi, big = envelope_pair(1, 971, 192)
-        assert phi.lo > big.hi
-
-    def test_width_contract(self):
-        p = 192
-        phi, big = envelope_pair(2, 1000, p)
-        assert phi.width <= Fraction(2) ** (8 - p)
-        assert big.width <= Fraction(2) ** (8 - p)
-
-    def test_gamma_values(self):
-        g = gamma_constants(1, 192)
-        a = alpha(1)
-        assert (g[0] * g[0]).contains(Fraction(225, 64) / a)
-        assert g[1].contains(Fraction(105, 128) / a)
-        assert g[5].contains(Fraction(73) / a**3)
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_sandwich_orientation_empirically(self, k):
-        # the corrected orientation satisfies the two-sided bound, the
-        # printed one cannot (its lower envelope exceeds its upper)
-        assert envelope_sandwich_outcome(k, 1000, orientation="corrected") is CheckOutcome.PASS
-        assert envelope_sandwich_outcome(k, 1000, orientation="printed") is CheckOutcome.FAIL
-
-    def test_below_threshold_gated(self):
-        assert envelope_sandwich_outcome(1, 900) is CheckOutcome.HYPOTHESIS_NOT_MET
-
-    def test_bad_orientation(self):
-        with pytest.raises(ValueError):
-            envelope_pair(1, 1000, orientation="sideways")
 
 
 class TestMainTerm:
@@ -534,8 +510,6 @@ def pinned_lines() -> list[str]:
 
     p, out = 384, []
     for k in (1, 2):
-        out += [line("gamma_constants k=%d g%d" % (k, i), g)
-                for i, g in enumerate(gamma_constants(k, p), 1)]
         for n in (3512, 15081):
             out.append(line("x_param k=%d n=%d" % (k, n), x_param(k, n, p)))
             rb = ratio_bounds(k, n, p)
@@ -543,9 +517,6 @@ def pinned_lines() -> list[str]:
                     for f in ("lambda_lo", "lambda_hi", "theta_lo", "theta_hi")]
             out += [line("tail_factors k=%d n=%d %s" % (k, n, f), v)
                     for f, v in zip(("g", "G"), tail_factors(k, n, p))]
-    for k, t in ((1, Fraction(1000)), (2, Fraction(12345, 7))):
-        out += [line("envelope_pair k=%d t=%s %s" % (k, t, f), v)
-                for f, v in zip(("phi", "Phi"), envelope_pair(k, t, p))]
     for z in (Fraction(1484), Fraction(30001, 3)):
         out.append(line("i2_scaled_main z=%s" % z, i2_scaled_main(z, p)))
     return out

@@ -661,12 +661,18 @@ class TestUsage:
         ("verify", "sandwich", "--k", "3", "--from", "5", "--to", "7"),
         ("verify", "sandwich", "--k", "1", "--from", "1", "--to", "3", "--format", "csv"),
         ("scan", "conjecture", "--k", "1", "--r", "0", "--to", "50"),
+        ("scan", "conjecture", "--r", "3", "--to", "10"),
+        ("scan", "conjecture", "--k", "1", "--r", "3", "--to", "10", "--format", "csv"),
         ("verify", "bessel", "--z-grid", "1484:inf:3"),
         ("verify", "bessel", "--z-grid", "1484:1e400:2"),
     ])
-    def test_out_of_range_arguments(self, capsys, argv):
-        code, _, err = run(capsys, *argv)
-        assert code == 3 and err.startswith("usage error:")
+    def test_out_of_range_arguments(self, capsys, monkeypatch, argv):
+        def no_work(*args):
+            raise RuntimeError("work started before the usage check")
+
+        monkeypatch.setattr(cli, "load_table", no_work)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and err.startswith("usage error:")
 
     @pytest.mark.parametrize("argv", [
         ("verify", "dlog", "--k", "1", "--r", "40", "--to", "100000"),
@@ -680,6 +686,12 @@ class TestUsage:
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err.startswith("usage error: --r 40 is too large")
+
+    def test_prec_help_names_the_interval_default(self):
+        from bkd.intervals import DEFAULT_PREC
+
+        assert "%d bits" % DEFAULT_PREC in cli.PREC_HELP
+        assert "%d bits" % DEFAULT_PREC in cli.__doc__
 
     @pytest.mark.parametrize("argv", [
         ("verify", "dlog", "--k", "1", "--r", "19", "--to", "50"),
