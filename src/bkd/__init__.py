@@ -13,10 +13,11 @@ positivity on rays with exact rational arithmetic.
 Importing the package loads none of these modules; import names from the
 module that defines them.  The interval arithmetic runs on Python
 integers, so no module needs anything beyond the standard library; the
-tests use mpmath as an independent reference.  A table's SHA-256, which
-covers the expansion algorithm's tag, k, N and the decimal string of every
-coefficient, comes from CPython's builtin SHA-256 module rather than
-hashlib, so no command loads OpenSSL.
+tests use mpmath as an independent reference.  A table's SHA-256 covers
+the algorithm tag, k, N and every coefficient's decimal string; its cache
+file (written and read by ``etaseries``) is that hash, a newline and
+exactly those bytes.  The hash comes from CPython's builtin SHA-256 module
+rather than hashlib, so no command loads OpenSSL.
 """
 
 __version__ = "0.1.0"

@@ -273,7 +273,8 @@ def bessel_remainder_margin(z, prec: Optional[int] = None) -> IntervalReal:
 
     z may be an enclosure.  At z = sqrt(alpha_k) t the claim is the
     paper's envelope pair phi(t) <= I_2(z) e^{-z} sqrt(2 pi z) <= Phi(t),
-    phi and Phi being the main part minus and plus g6/t^6 = 73/z^6.
+    phi and Phi being the main part minus and plus g6/t^6 = 73/z^6.  A z of
+    nonzero width bounds the margin's width: attempts stop once one reaches z.prec.
     """
     z_iv = to_interval(z, 64)
     if z_iv.lo_fraction() < Z_REMAINDER_MIN:
@@ -281,11 +282,12 @@ def bessel_remainder_margin(z, prec: Optional[int] = None) -> IntervalReal:
             "remainder bound is only claimed for z >= (15/2)^6/120 = %s"
             % float(Z_REMAINDER_MIN)
         )
+    last = z.prec if isinstance(z, IntervalReal) and z.width else None
     for p in remainder_precisions(z_iv, prec):
         z_p = to_interval(z, p)
         err = scaled_i2(z_p, p) - i2_scaled_main(z_p, p)
         margin = 73 / z_p.at(p)**6 - abs(err)
-        if not margin.straddles_zero():
+        if not margin.straddles_zero() or (last and p >= last):
             break
     return margin
 

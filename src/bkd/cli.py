@@ -29,12 +29,13 @@ traceback goes to stderr; no verdict was reached).
 table values; an --r at which one could pass 2^22 bits is a usage error.
 
 Expanded tables are cached under $BKD_CACHE_DIR (default ~/.cache/bkd),
-one file per k, and reused for any smaller N.  A file is used only when
-its k and N fit the request, its SHA-256 matches, and its first values
-agree with the log-derivative oracle.  The SHA-256 covers the expansion
-algorithm's tag, k, N and the decimal string of every coefficient, exactly
-as str() writes it; `bkd expand` prints it as its checksum.  It comes from
-CPython's builtin SHA-256 module, so no command loads OpenSSL.
+one file delta_k<k>.tbl per k, reused for any smaller N.  Line 1 is a
+SHA-256, the checksum `bkd expand` prints; the rest is exactly the bytes
+it covers: the algorithm tag, k, N and every coefficient as str() writes
+it (etaseries owns the layout).  A file is used only when its tag, k and N
+fit the request, its SHA-256 matches, and its first values agree with the
+log-derivative oracle.  The hash comes from CPython's builtin SHA-256
+module, so no command loads OpenSSL.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import json
 import math
 import os
 import sys
@@ -52,7 +52,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
 
 from . import inequalities
-from .etaseries import PartitionTable, delta_oracle_logderiv, delta_table, json_digest
+from .etaseries import PartitionTable, delta_oracle_logderiv, delta_table, table_from_bytes
 from .report import CheckOutcome, VerificationReport
 
 EXIT_PASS = 0
@@ -82,39 +82,16 @@ def _cache_dir() -> str:
 
 
 def _cache_path(k: int) -> str:
-    return os.path.join(_cache_dir(), "delta_k%d.json" % k)
+    return os.path.join(_cache_dir(), "delta_k%d.tbl" % k)
 
 
-def _read_cache(path: str, k: int, N: int) -> Optional[PartitionTable]:
-    """The cached table at ``path`` cut to delta_k(0..N), or None.
-
-    A file is trusted only when it holds delta_k for this k, reaches at
-    least N, and its stored hash equals the :func:`json_digest` of the
-    decimal strings it stores, which must be exactly as ``str`` writes
-    them.  So the hash covers the algorithm tag, k, N and every
-    coefficient, and only delta_k(0..N) are converted to integers.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            obj = json.load(fp)
-        digits = obj["coeffs"]
-        if (obj["k"] != k or obj["N"] < N or len(digits) != obj["N"] + 1
-                or obj.get("sha256") != json_digest(obj)):
-            return None
-        return PartitionTable(k=k, N=N, coeffs=tuple(map(int, digits[: N + 1])))
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-
-
-def _write_cache(path: str, table: PartitionTable) -> None:
-    """Replace the cache file at ``path`` by ``table`` atomically.
+def _write_cache(path: str, data: bytes) -> None:
+    """Replace the cache file at ``path`` by ``data`` atomically.
 
     Each writer goes through its own temporary file, so concurrent runs
     never write into one file.  The cache is best effort: a failed write
     removes its temporary file and is otherwise ignored.
     """
-    obj = table.to_json_obj()
-    obj["sha256"] = json_digest(obj)
     directory = os.path.dirname(path)
     try:
         os.makedirs(directory, exist_ok=True)
@@ -124,8 +101,8 @@ def _write_cache(path: str, table: PartitionTable) -> None:
     except OSError:
         return
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fp:
-            json.dump(obj, fp, separators=(",", ":"))
+        with os.fdopen(fd, "wb") as fp:
+            fp.write(data)
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):
@@ -143,12 +120,16 @@ def load_table(k: int, N: int) -> PartitionTable:
     is rebuilt, a fresh expansion that differs is an internal error."""
     path = _cache_path(k)
     prefix = tuple(delta_oracle_logderiv(k, min(N, ORACLE_PREFIX)))
-    table = _read_cache(path, k, N)
+    try:
+        with open(path, "rb") as fp:
+            table = table_from_bytes(fp.read(), k, N)
+    except OSError:
+        table = None
     if table is None or table.coeffs[: len(prefix)] != prefix:
         table = delta_table(k, N)
         if table.coeffs[: len(prefix)] != prefix:
             raise AssertionError("delta_%d expansion differs from the oracle" % k)
-        _write_cache(path, table)
+        _write_cache(path, table.to_bytes())
     return table
 
 
@@ -169,6 +150,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _report_text(obj: dict, fmt: str) -> str:
     """One JSON line for --format json, else one "key: value" line per key."""
     if fmt == "json":
+        import json
+
         return json.dumps(obj, separators=(",", ":")) + "\n"
     return "".join("%s: %s\n" % item for item in obj.items())
 
@@ -355,7 +338,7 @@ def _parse_z_grid(spec: str) -> list[float]:
     if count == 1:
         return [lo]
     ratio = (hi / lo) ** (1.0 / (count - 1))
-    return [lo * ratio**i for i in range(count)]
+    return [lo * ratio**i for i in range(count - 1)] + [hi]  # ends at HI exactly
 
 
 def _verify_bessel(args) -> int:

@@ -39,11 +39,10 @@ from __future__ import annotations
 
 import functools
 import io
-import json
 from collections import Counter
 from itertools import islice
 from operator import mul
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .report import FrozenRecord
 
@@ -64,7 +63,7 @@ __all__ = [
     "expand_eta_quotient",
     "delta_table",
     "delta_oracle_logderiv",
-    "json_digest",
+    "table_from_bytes",
 ]
 
 # names the expansion behind every table; content_hash covers it, so a
@@ -260,43 +259,55 @@ class PartitionTable(FrozenRecord):
         return {"k": self.k, "N": self.N, "coeffs": [str(v) for v in self.coeffs]}
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "PartitionTable":
-        coeffs = tuple(int(s) for s in obj["coeffs"])
-        return cls(k=int(obj["k"]), N=int(obj["N"]), coeffs=coeffs)
+    def _hashed_bytes(self) -> bytes:
+        """What :meth:`content_hash` covers: "ALGORITHM:k:N:" and the
+        comma-joined decimal strings of the coefficients."""
+        return ("%s:%d:%d:%s" % (ALGORITHM, self.k, self.N,
+                                 ",".join(map(str, self.coeffs)))).encode()
 
     def content_hash(self) -> str:
         """SHA-256 of the algorithm tag, k, N and every coefficient."""
-        return _digest(self.k, self.N, ",".join(map(str, self.coeffs)).encode())
+        return sha256(self._hashed_bytes()).hexdigest()
+
+    def to_bytes(self) -> bytes:
+        """The file form, read by :func:`table_from_bytes`: the content
+        hash in hex, a newline, then exactly the bytes that hash covers."""
+        body = self._hashed_bytes()
+        return sha256(body).hexdigest().encode() + b"\n" + body
 
 
-def _digest(k: int, N: int, digits: bytes) -> str:
-    """SHA-256 of the algorithm tag, k, N and the comma-joined decimal
-    strings of the coefficients."""
-    h = sha256(("%s:%d:%d:" % (ALGORITHM, k, N)).encode())
-    h.update(digits)
-    return h.hexdigest()
+def table_from_bytes(data: bytes, k: int, N: int) -> Optional[PartitionTable]:
+    """delta_k(0..N) from the bytes of :meth:`PartitionTable.to_bytes`, or None.
 
-
-def json_digest(obj: dict) -> str:
-    """The :meth:`PartitionTable.content_hash` of a table in the form that
-    :meth:`PartitionTable.to_json_obj` writes, hashed from its strings.
-
-    Each coefficient must be the decimal string of a positive integer as
-    ``str`` writes it: ASCII digits without a leading zero, sign or space.
-    So a matching digest vouches for exactly the table that was written.
-    Raises ValueError on any other string and TypeError on a non-string.
+    ``data`` is trusted only when its tag is ALGORITHM, it holds delta_k up
+    to some N' >= N, its first line is the SHA-256 of the rest, and its
+    coefficients are N' + 1 decimal strings exactly as ``str`` writes them,
+    so a match vouches for exactly the table written.  Only delta_k(0..N)
+    are then converted to integers.
     """
-    coeffs = obj["coeffs"]
-    digits = ",".join(coeffs).encode("ascii")
-    # only digits and separators, no separator inside an entry, and no entry
-    # that is empty or starts with 0: among digit strings, those sort below "1"
-    if (digits.translate(None, b"0123456789,") or digits.count(b",") != len(coeffs) - 1
-            or min(coeffs) < "1"):
-        raise ValueError("coefficients are not canonical positive decimal strings")
-    return _digest(obj["k"], obj["N"], digits)
+    # ALGORITHM holds no colon, so one split copies the digits and nothing
+    # else of size: the hash reads the rest of ``data`` through a view
+    parts = data.split(b":", 3)
+    if len(parts) != 4:
+        return None
+    line1, k_text, n_text, digits = parts
+    digest, _, tag = line1.partition(b"\n")
+    if tag != ALGORITHM.encode() or k_text != b"%d" % k or not n_text.isdigit():
+        return None
+    stored = int(n_text)
+    if (n_text != b"%d" % stored or stored < N
+            or digest != sha256(memoryview(data)[len(digest) + 1:]).hexdigest().encode()
+            or digits.translate(None, b"0123456789,") or digits.count(b",") != stored):
+        return None
+    entries = digits.split(b",")
+    # among digit strings, an empty entry and one that starts with 0 sort below "1"
+    if min(entries) < b"1":
+        return None
+    return PartitionTable(k=k, N=N, coeffs=tuple(map(int, entries[: N + 1])))
 
 
 @functools.lru_cache(maxsize=32)

@@ -271,6 +271,17 @@ class TestRemainder:
         assert margin_outcome(margin) is CheckOutcome.PASS
         assert margin.prec == remainder_precisions(z)[0]
 
+    def test_enclosure_width_stops_the_schedule(self):
+        # a 64-bit enclosure of z keeps the margin undecided at any precision:
+        # the attempts stop at the first that reaches z's own 64 bits
+        z = sqrt_rational_interval(alpha(1), 64) * 1000
+        assert remainder_precisions(z)[:2] == [128, 256]
+        margin = bessel_remainder_margin(z)
+        assert margin_outcome(margin) is CheckOutcome.INCONCLUSIVE
+        assert margin.prec == 128
+        margin = bessel_remainder_margin(sqrt_rational_interval(alpha(1), 384) * 1000)
+        assert margin_outcome(margin) is CheckOutcome.PASS and margin.prec == 128
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_enclosed_argument_below_threshold_rejected(self, k):
         # t = 900: z is about 1375 for k = 1 and 1394 for k = 2, below 1483.15

@@ -133,6 +133,23 @@ class TestVerify:
         obj = json.loads(out)
         assert obj["prec"] == [128] and obj["raises"] == [1]
 
+    def test_z_grid_ends_at_hi(self, capsys, monkeypatch):
+        from bkd import asymptotic
+
+        seen = []
+
+        def spy(z, prec=None):
+            seen.append(z)
+            return margin(z, prec)
+
+        margin = asymptotic.bessel_remainder_margin
+        monkeypatch.setattr(asymptotic, "bessel_remainder_margin", spy)
+        code, out, _ = run(capsys, "verify", "bessel", "--z-grid", "1484:1600:2",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["to"] == 1600
+        assert seen == [1484.0, 1600.0]
+
     def test_bad_z_grid(self, capsys):
         code, _, err = run(capsys, "verify", "bessel", "--z-grid", "oops")
         assert code == 3
@@ -396,24 +413,31 @@ class TestImports:
         (["verify", "bessel", "--z-grid", "1484:1600:2", "--format", "json"], 0, False),
         (["verify", "phi-psi"], 0, False),
         (["scan", "conjecture", "--k", "2", "--r", "3", "--to", "50"], 0, False),
+        (["verify", "logconcave", "--k", "1", "--to", "50", "--format", "json"], 0, False),
+        (["scan", "conjecture", "--k", "2", "--r", "3", "--to", "50", "--format", "json"],
+         0, False),
     ])
     def test_commands_load_no_openssl_and_csv_only_for_csv(self, cache_dir, argv, code,
                                                           writes_csv):
         # each command in a fresh interpreter: one command's imports cannot
-        # hide another's
+        # hide another's; the second run reads the table the first one cached.
+        # json is loaded by exactly the commands that print JSON
         proc = run_fresh("""
             import sys
-            preloaded = {"_hashlib", "csv"} & set(sys.modules)
+            watched = {"_hashlib", "csv", "json"}
+            preloaded = watched & set(sys.modules)
             from bkd.cli import main
+            main(%r)
             code = main(%r)
-            print("loaded:", *sorted({"_hashlib", "csv"} & set(sys.modules) - preloaded),
+            print("loaded:", *sorted(watched & set(sys.modules) - preloaded),
                   file=sys.stderr)
             sys.exit(code)
-        """ % (argv,), cache_dir)
+        """ % (argv, argv), cache_dir)
         assert proc.returncode == code, proc.stderr
         loaded = proc.stderr.splitlines()[-1].split()[1:]
         assert "_hashlib" not in loaded, "the command loaded OpenSSL"
         assert ("csv" in loaded) == writes_csv, loaded
+        assert ("json" in loaded) == ("json" in argv), loaded
 
     def test_expand_never_imports_dataclasses(self, cache_dir):
         proc = run_fresh("""
@@ -513,73 +537,23 @@ class TestScan:
 
 
 class TestCache:
-    def test_cache_file_created_and_reused(self, capsys, cache_dir):
-        run(capsys, "expand", "--k", "1", "--n", "50")
-        path = cache_dir / "delta_k1.json"
-        assert path.exists()
-        first = path.read_text()
-        # a smaller request must reuse the cached expansion unchanged
-        run(capsys, "expand", "--k", "1", "--n", "20")
-        assert path.read_text() == first
-        obj = json.loads(first)
-        assert obj["N"] == 50 and obj["coeffs"][3] == "18"
-
-    def test_tampered_cache_rebuilt(self, capsys, cache_dir):
-        run(capsys, "expand", "--k", "1", "--n", "30")
-        path = cache_dir / "delta_k1.json"
-        obj = json.loads(path.read_text())
-        obj["coeffs"][5] = "999"  # hash no longer matches
-        path.write_text(json.dumps(obj))
-        code, out, _ = run(capsys, "expand", "--k", "1", "--n", "30", "--format", "csv")
-        assert code == 0
-        assert "5,75" in out.splitlines()
-
-    def test_cache_of_other_k_rejected(self, capsys, cache_dir):
-        run(capsys, "expand", "--k", "1", "--n", "50")
-        (cache_dir / "delta_k2.json").write_text((cache_dir / "delta_k1.json").read_text())
-        code, out, _ = run(capsys, "expand", "--k", "2", "--n", "3", "--format", "csv")
-        assert code == 0
-        assert out.splitlines()[-1] == "3,19"  # delta_2(3), not delta_1(3) = 18
-
-    def test_cache_hash_is_table_hash(self, capsys, cache_dir):
-        _, _, err = run(capsys, "expand", "--k", "1", "--n", "20")
-        obj = json.loads((cache_dir / "delta_k1.json").read_text())
-        assert "sha256=%s" % delta_table(1, 20).content_hash() in err
-        assert obj["sha256"] == delta_table(1, 20).content_hash()
-
-    def test_hashed_wrong_value_caught_by_oracle(self, capsys, cache_dir):
-        run(capsys, "expand", "--k", "1", "--n", "30")
-        path = cache_dir / "delta_k1.json"
-        obj = json.loads(path.read_text())
-        obj["coeffs"][5] = "999"
-        obj["sha256"] = PartitionTable.from_json_obj(obj).content_hash()
-        path.write_text(json.dumps(obj))
-        code, out, _ = run(capsys, "expand", "--k", "1", "--n", "10", "--format", "csv")
-        assert code == 0
-        assert "5,75" in out.splitlines()
-        assert json.loads(path.read_text())["coeffs"][5] == "75"  # rewritten
-
-    def test_hash_without_algorithm_tag_rejected(self, capsys, cache_dir):
-        run(capsys, "expand", "--k", "1", "--n", "300")
-        path = cache_dir / "delta_k1.json"
-        obj = json.loads(path.read_text())
-        obj["coeffs"][250] = str(int(obj["coeffs"][250]) + 1)  # past the oracle prefix
-        untagged = "1:300:" + ",".join(obj["coeffs"])
-        obj["sha256"] = hashlib.sha256(untagged.encode()).hexdigest()
-        path.write_text(json.dumps(obj))
-        code, out, _ = run(capsys, "expand", "--k", "1", "--n", "300", "--format", "csv")
-        assert code == 0
-        assert out.splitlines()[251] == "250,%s" % delta_table(1, 300).coeffs[250]
+    @staticmethod
+    def _body(k, N, entries):
+        """The bytes a cache file's digest covers, with ``entries`` as the
+        coefficient strings."""
+        return ("%s:%d:%d:" % (ALGORITHM, k, N) + ",".join(entries)).encode()
 
     @staticmethod
-    def _write_table(path, coeffs, digits):
-        """A cache file of delta_1(0..N) holding ``coeffs``, hashed with
-        hashlib over ``digits``, the strings an earlier version hashed."""
-        N = len(coeffs) - 1
-        data = ("%s:1:%d:" % (ALGORITHM, N) + ",".join(digits)).encode()
+    def _write(path, body, digest_of=None):
+        """A cache file holding ``body`` under the hashlib SHA-256 of
+        ``digest_of``, by default of ``body`` itself."""
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({"k": 1, "N": N, "coeffs": coeffs,
-                                    "sha256": hashlib.sha256(data).hexdigest()}))
+        digest = hashlib.sha256(body if digest_of is None else digest_of).hexdigest()
+        path.write_bytes(digest.encode() + b"\n" + body)
+
+    @staticmethod
+    def _entries(path):
+        return path.read_bytes().split(b"\n", 1)[1].split(b":", 3)[3].split(b",")
 
     @staticmethod
     def _spy_delta_table(monkeypatch):
@@ -592,26 +566,96 @@ class TestCache:
         monkeypatch.setattr(cli, "delta_table", spy)
         return calls
 
+    def test_cache_file_created_and_reused(self, capsys, cache_dir):
+        run(capsys, "expand", "--k", "1", "--n", "50")
+        path = cache_dir / "delta_k1.tbl"
+        first = path.read_bytes()
+        # a smaller request must reuse the cached expansion unchanged
+        run(capsys, "expand", "--k", "1", "--n", "20")
+        assert path.read_bytes() == first
+        assert first.split(b"\n")[1].startswith(("%s:1:50:1,3,8,18," % ALGORITHM).encode())
+
+    def test_cache_hash_is_table_hash(self, capsys, cache_dir):
+        # line 1 is the table hash and the checksum expand prints, and the
+        # rest is exactly what it covers
+        _, _, err = run(capsys, "expand", "--k", "1", "--n", "20")
+        table = delta_table(1, 20)
+        digest, body = (cache_dir / "delta_k1.tbl").read_bytes().split(b"\n")
+        assert digest.decode() == table.content_hash()
+        assert "sha256=%s" % table.content_hash() in err
+        assert body == self._body(1, 20, map(str, table.coeffs))
+
+    def test_tampered_cache_rebuilt(self, capsys, cache_dir):
+        run(capsys, "expand", "--k", "1", "--n", "30")
+        path = cache_dir / "delta_k1.tbl"
+        path.write_bytes(path.read_bytes().replace(b",75,", b",76,"))  # digest no longer matches
+        code, out, _ = run(capsys, "expand", "--k", "1", "--n", "30", "--format", "csv")
+        assert code == 0
+        assert "5,75" in out.splitlines()
+        assert self._entries(path)[5] == b"75"
+
+    def test_cache_of_other_k_rejected(self, capsys, cache_dir):
+        run(capsys, "expand", "--k", "1", "--n", "50")
+        (cache_dir / "delta_k2.tbl").write_bytes((cache_dir / "delta_k1.tbl").read_bytes())
+        code, out, _ = run(capsys, "expand", "--k", "2", "--n", "3", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[-1] == "3,19"  # delta_2(3), not delta_1(3) = 18
+
+    def test_hashed_wrong_value_caught_by_oracle(self, capsys, cache_dir):
+        coeffs = list(delta_table(1, 30).coeffs)
+        coeffs[5] = 999
+        path = cache_dir / "delta_k1.tbl"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(PartitionTable(k=1, N=30, coeffs=tuple(coeffs)).to_bytes())
+        code, out, _ = run(capsys, "expand", "--k", "1", "--n", "10", "--format", "csv")
+        assert code == 0
+        assert "5,75" in out.splitlines()
+        assert self._entries(path)[5] == b"75"  # rewritten
+
+    def test_hash_without_algorithm_tag_rejected(self, capsys, cache_dir):
+        # the file's digest, then the whole file, lacks the algorithm tag
+        entries = [str(v) for v in delta_table(1, 300).coeffs]
+        entries[250] = str(int(entries[250]) + 1)  # past the oracle prefix
+        untagged = ("1:300:" + ",".join(entries)).encode()
+        for body in (self._body(1, 300, entries), untagged):
+            self._write(cache_dir / "delta_k1.tbl", body, untagged)
+            code, out, _ = run(capsys, "expand", "--k", "1", "--n", "300", "--format", "csv")
+            assert code == 0
+            assert out.splitlines()[251] == "250,%s" % delta_table(1, 300).coeffs[250]
+
     def test_hashlib_digest_file_is_a_hit(self, capsys, monkeypatch, cache_dir):
-        digits = [str(v) for v in delta_table(1, 60).coeffs]
-        self._write_table(cache_dir / "delta_k1.json", digits, digits)
+        self._write(cache_dir / "delta_k1.tbl",
+                    self._body(1, 60, map(str, delta_table(1, 60).coeffs)))
         calls = self._spy_delta_table(monkeypatch)
         code, out, _ = run(capsys, "expand", "--k", "1", "--n", "40", "--format", "csv")
         assert code == 0 and calls == []
         assert out.splitlines()[-1] == "40,%d" % delta_table(1, 40).coeffs[40]
 
-    @pytest.mark.parametrize("entry", ["018", "+18", "18 ", 18])
+    @pytest.mark.parametrize("entry", ["018", "+18", "18 ", "1_8", ""])
     def test_non_canonical_entry_rebuilt(self, capsys, monkeypatch, cache_dir, entry):
-        # the digest matches the stored strings, and int() reads each as 18
-        digits = [str(v) for v in delta_table(1, 60).coeffs]
-        coeffs = digits[:3] + [entry] + digits[4:]
-        self._write_table(cache_dir / "delta_k1.json", coeffs,
-                          digits[:3] + [str(entry)] + digits[4:])
+        # the digest matches the stored bytes, and int() reads each nonempty
+        # entry as 18
+        entries = [str(v) for v in delta_table(1, 60).coeffs]
+        entries[3] = entry
+        path = cache_dir / "delta_k1.tbl"
+        self._write(path, self._body(1, 60, entries))
         calls = self._spy_delta_table(monkeypatch)
         code, out, _ = run(capsys, "expand", "--k", "1", "--n", "60", "--format", "csv")
         assert code == 0 and calls == [(1, 60)]
         assert out.splitlines()[4] == "3,18"
-        assert json.loads((cache_dir / "delta_k1.json").read_text())["coeffs"][3] == "18"
+        assert self._entries(path)[3] == b"18"
+
+    def test_json_file_replaced(self, capsys, monkeypatch, cache_dir):
+        # a table in the JSON form of earlier versions, at the new path
+        table = delta_table(1, 60)
+        obj = dict(table.to_json_obj(), sha256=table.content_hash())
+        path = cache_dir / "delta_k1.tbl"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(obj, separators=(",", ":")))
+        calls = self._spy_delta_table(monkeypatch)
+        code, out, _ = run(capsys, "expand", "--k", "1", "--n", "60", "--format", "csv")
+        assert code == 0 and calls == [(1, 60)]
+        assert path.read_bytes() == table.to_bytes()
 
     def test_fresh_table_checked_against_oracle(self, capsys, monkeypatch):
         table = delta_table(1, 20)
@@ -623,19 +667,16 @@ class TestCache:
         assert "AssertionError: delta_1 expansion differs from the oracle" in err
 
     def test_stale_temp_path_does_not_block_write(self, capsys, cache_dir):
-        (cache_dir / "delta_k1.json.tmp").mkdir(parents=True)
+        (cache_dir / "delta_k1.tbl.tmp").mkdir(parents=True)
         code, _, _ = run(capsys, "expand", "--k", "1", "--n", "20")
         assert code == 0
-        table = PartitionTable.from_json_obj(
-            json.loads((cache_dir / "delta_k1.json").read_text())
-        )
-        assert table == delta_table(1, 20)
+        assert (cache_dir / "delta_k1.tbl").read_bytes() == delta_table(1, 20).to_bytes()
 
     def test_failed_write_leaves_no_temp_file(self, capsys, cache_dir):
-        (cache_dir / "delta_k1.json").mkdir(parents=True)  # os.replace must fail
+        (cache_dir / "delta_k1.tbl").mkdir(parents=True)  # os.replace must fail
         code, out, _ = run(capsys, "expand", "--k", "1", "--n", "3", "--format", "csv")
         assert code == 0 and out.splitlines()[-1] == "3,18"
-        assert [p.name for p in cache_dir.iterdir()] == ["delta_k1.json"]
+        assert [p.name for p in cache_dir.iterdir()] == ["delta_k1.tbl"]
 
 
 class TestUsage:

@@ -14,7 +14,7 @@ from bkd.etaseries import (
     delta_table,
     eta_oracle_coeffs,
     expand_eta_quotient,
-    json_digest,
+    table_from_bytes,
 )
 
 PARTITION_NUMBERS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -148,7 +148,7 @@ class TestSerialization:
         table = delta_table(2, 5)
         obj = json.loads(table.to_json())
         assert obj == {"k": 2, "N": 5, "coeffs": ["1", "3", "8", "19", "41", "82"]}
-        assert PartitionTable.from_json_obj(obj) == table
+        assert obj == table.to_json_obj()
 
     def test_content_hash_changes_with_k(self):
         assert delta_table(1, 5).content_hash() != delta_table(2, 5).content_hash()
@@ -158,16 +158,34 @@ class TestSerialization:
         data = "%s:1:300:%s" % (ALGORITHM, ",".join(map(str, table.coeffs)))
         expected = hashlib.sha256(data.encode()).hexdigest()
         assert table.content_hash() == expected
-        assert json_digest(table.to_json_obj()) == expected
+        assert table.to_bytes() == expected.encode() + b"\n" + data.encode()
 
-    @pytest.mark.parametrize("entry,error", [
-        ("018", ValueError), ("+18", ValueError), ("18 ", ValueError),
-        (" 18", ValueError), ("1_8", ValueError), ("-18", ValueError),
-        ("\u0661\u0668", ValueError), ("", ValueError), ("0", ValueError),
-        ("1,8", ValueError), (18, TypeError), (None, TypeError),
+    def test_bytes_roundtrip(self):
+        table = delta_table(1, 30)
+        data = table.to_bytes()
+        assert table_from_bytes(data, 1, 30) == table
+        assert table_from_bytes(data, 1, 20) == delta_table(1, 20)
+        assert table_from_bytes(data, 1, 31) is None
+        assert table_from_bytes(data, 2, 5) is None
+
+    @staticmethod
+    def _stored(body: bytes) -> bytes:
+        return hashlib.sha256(body).hexdigest().encode() + b"\n" + body
+
+    @pytest.mark.parametrize("entry", [
+        "018", "+18", "18 ", " 18", "1_8", "-18", "\u0661\u0668", "", "0", "1,8",
     ])
-    def test_json_digest_only_of_canonical_strings(self, entry, error):
-        obj = delta_table(1, 5).to_json_obj()
-        obj["coeffs"][3] = entry
-        with pytest.raises(error):
-            json_digest(obj)
+    def test_decoder_only_of_canonical_strings(self, entry):
+        # each file's digest matches its bytes; only the entry is wrong
+        entries = [str(v) for v in delta_table(1, 5).coeffs]
+        entries[3] = entry
+        body = ("%s:1:5:%s" % (ALGORITHM, ",".join(entries))).encode()
+        assert table_from_bytes(self._stored(body), 1, 3) is None
+
+    @pytest.mark.parametrize("head", [
+        "eta-quotient:1:5:", "%s:01:5:", "%s:1:05:", "%s:1:+5:", "%s:1: 5:", "%s:1:6:",
+    ])
+    def test_decoder_only_of_canonical_header(self, head):
+        digits = ",".join(map(str, delta_table(1, 5).coeffs))
+        body = (head.replace("%s", ALGORITHM) + digits).encode()
+        assert table_from_bytes(self._stored(body), 1, 5) is None
