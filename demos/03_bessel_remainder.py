@@ -1,8 +1,10 @@
 """Rigorous Bessel enclosures and the 73/z^6 remainder margin.
 
 I_2(z) is summed by its all-positive ascending series in Python
-integers, twice: rounded down from z.lo, and rounded up from z.hi plus
-one unit that bounds the tail, so every value is a true enclosure.  The scaled combination
+integers, in one pass rounded down: the pass itself is a lower bound,
+and the pass plus a bound on its rounding, on the terms it skipped at
+the head and on the tail is an upper bound, so every value is a true
+enclosure; an enclosure of z takes one pass at each end.  The scaled combination
 I_2(z) e^{-z} sqrt(2 pi z) stays O(1) while I_2 itself is astronomically
 large, and the margin 73/z^6 - |err| needs absolute accuracy below z^-6:
 the check starts at ceil(6 log2 z) + 64 bits (144 at z = 10^4) and

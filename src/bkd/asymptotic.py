@@ -11,9 +11,9 @@ Every formula is written with the operators of
 :class:`~bkd.intervals.IntervalReal` on exact ints and Fractions; each
 function works at its ``prec`` argument, re-homing an enclosure that
 arrives at another precision with ``at(prec)``.  Only the Bessel series
-runs outside the interval type, in Python integers with directed
-rounding, and the interval kernel rounds its two sums.  Nothing here
-needs mpmath.
+runs outside the interval type: one pass in Python integers, rounded
+down, gives a lower and an upper bound on the sum, and the interval
+kernel rounds the two to ``prec`` bits.  Nothing here needs mpmath.
 
 Hypothesis gating: formulas evaluate anywhere they are defined, but
 claims are only asserted inside their stated validity ranges (size
@@ -27,13 +27,14 @@ from __future__ import annotations
 import functools
 import operator
 from fractions import Fraction
-from math import ceil, factorial, ldexp, lgamma, log, log2, sqrt
+from math import ceil, factorial, ldexp, lgamma, log, log2, perm, sqrt
 from typing import NamedTuple, Optional
 
 from .etaseries import PartitionTable
 from .intervals import (
     DEFAULT_PREC,
     IntervalReal,
+    _power,
     from_dyadic,
     pi_interval,
     sqrt_rational_interval,
@@ -94,64 +95,112 @@ def x_param(k: int, n: int, prec: int = DEFAULT_PREC) -> IntervalReal:
 # Bessel function by ascending series
 # ---------------------------------------------------------------------------
 
-def _series_sum(nu: int, man: int, exp: int, w: int, limit: int,
-                up: bool) -> tuple[int, int]:
-    """Directed sum of the ascending series of I_nu at x = man 2^exp >= 0.
+def _term_bounds(nu: int, man: int, exp: int, m: int, w: int) -> tuple[int, int, int]:
+    """(t, u, e) with t 2^e <= T_m <= u 2^e, t of exactly w bits, for the
+    term T_m = (x/2)^(2m + nu) / (m! (m + nu)!) at x = man 2^exp > 0.
 
-    Returns (S, F) with S * 2^F <= I_nu(x) when ``up`` is False and
-    S * 2^F >= I_nu(x) when it is True.  Terms carry w-bit mantissas;
-    2^F sits w bits below the largest term.
+    For m > 0 the power is binary powering with directed truncation at
+    w + 8 bits, and m! is truncated to w + 8 bits each way before it
+    divides: a division by the exact m!, 45 000 bits at m = 4233, would
+    cost time quadratic in its length.  (m + nu)! / m! is an exact small
+    product.
+    """
+    if m:
+        lo_pm, lo_pe = _power(man, exp - 1, 2 * m + nu, w + 8, False)
+        hi_pm, hi_pe = _power(man, exp - 1, 2 * m + nu, w + 8, True)
+    else:
+        lo_pm = hi_pm = man**nu
+        lo_pe = hi_pe = nu * (exp - 1)
+    # m! (m + nu)! = m!^2 p with d_lo 2^cut <= m! <= d_hi 2^cut
+    fact, p = factorial(m), perm(m + nu, nu)
+    cut = max(0, fact.bit_length() - w - 8)
+    d_lo, d_hi = fact >> cut, -(-fact >> cut)
+    den_lo, den_hi = d_lo * d_lo * p, d_hi * d_hi * p
+    lift = max(0, w + 1 + den_hi.bit_length() - lo_pm.bit_length())
+    t = (lo_pm << lift) // den_hi
+    excess = t.bit_length() - w
+    t >>= excess
+    e = lo_pe - lift - 2 * cut + excess
+    k = hi_pe - 2 * cut - e  # u = ceil(hi_pm 2^k / den_lo)
+    u = -((-hi_pm << k) // den_lo) if k >= 0 else -(-hi_pm // (den_lo << -k))
+    return t, u, e
+
+
+def _series_bounds(nu: int, man: int, exp: int, w: int, limit: int) -> tuple[int, int, int]:
+    """(S_lo, S_hi, F) with S_lo 2^F <= I_nu(x) <= S_hi 2^F at x = man 2^exp >= 0,
+    from one pass of the ascending series rounded down.
+
+    2^F sits w bits below the largest term, and the terms carry v = w + 8
+    bit mantissas: the upper bound charges every term the worst rounding
+    of the whole pass, n 2^(2-v) for n terms, which the 8 bits keep to a
+    few units.  The pass starts at a term m0 past a head worth under a
+    quarter unit; ``limit``, below 2^(v - 2), caps the index of its last
+    term.
     """
     if not man:
-        return int(nu == 0), 0
+        return int(nu == 0), int(nu == 0), 0
+    v = w + 8
     # (x/2)^2 = qm 2^qe exactly, qm shifted so that qm > m (m + nu) for
-    # every m < limit: then T qm // (m (m + nu)) never drops below w bits
+    # every m < limit: then T qm // (m (m + nu)) never drops below v bits
     qm, qe = man * man, 2 * exp - 2
     shift = max(0, (limit * (limit + nu)).bit_length() + 1 - qm.bit_length())
     qm, qe = qm << shift, qe - shift
     # (x/2)^2 = q_num / q_den, and 2^q_log <= (x/2)^2
     q_num, q_den = (qm << qe, 1) if qe >= 0 else (qm, 1 << -qe)
     q_log = qm.bit_length() - 1 + qe
-    # the upper sum runs on negated values, so that // and >>, which
-    # round towards -infinity, round its magnitudes up
-    sign = -1 if up else 1
-    # first term (x/2)^nu / nu!, exponent e, then w bits kept
-    num, fact = man**nu, factorial(nu)
-    lift = max(0, w + fact.bit_length() - num.bit_length())
-    t = (sign * num << lift) // fact
-    excess = t.bit_length() - w
-    t >>= excess
-    e = nu * (exp - 1) - lift + excess
-    # F = log2 of the largest term (at m* ~ (sqrt(nu^2 + x^2) - nu) / 2,
-    # a float estimate) minus w; it only affects tightness
+    # float estimates, which only affect tightness: log2 T_m, the largest
+    # term at m_peak ~ (sqrt(nu^2 + x^2) - nu) / 2, and F = its log2 - w
     ln_half = log(man) + (exp - 1) * log(2)
     cut = max(0, man.bit_length() - 53)
     x_float = ldexp(man >> cut, exp + cut)
     m_peak = int((sqrt(nu * nu + x_float**2) - nu) / 2)
-    peak = ((2 * m_peak + nu) * ln_half - lgamma(m_peak + 1)
-            - lgamma(m_peak + nu + 1)) / log(2)
-    f = int(peak) - w
+
+    def log2_term(m: int) -> float:
+        return ((2 * m + nu) * ln_half - lgamma(m + 1) - lgamma(m + nu + 1)) / log(2)
+
+    f = int(log2_term(m_peak)) - w
+    # head start: the largest m0 <= m_peak with m0 T_m0 below a quarter
+    # unit by the estimate, kept only if m0 (m0 + nu) <= (x/2)^2 exactly:
+    # then no term falls before m0, and the head sums to at most m0 T_m0
+    m0 = 0
+    if log2_term(0) < f - 2:
+        lo, hi = 0, m_peak
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if log2_term(mid) + log2(mid + 1) < f - 2:
+                lo = mid
+            else:
+                hi = mid
+        if lo * (lo + nu) * q_den <= q_num:
+            m0 = lo
+    t0, u, e = _term_bounds(nu, man, exp, m0, v)
+    t = t0
     k = e - f  # the current term is t * 2^(f + k)
     s = t << k if k >= 0 else t >> -k
+    head = m0 * u << k if k >= 0 else -(-m0 * u >> -k)
     decaying = False
-    for m in range(1, limit):
+    for m in range(m0 + 1, limit):
         t = t * qm // (m * (m + nu))
         k += qe
-        excess = t.bit_length() - w
+        excess = t.bit_length() - v
         t >>= excess
         k += excess
         s += t << k if k >= 0 else t >> -k
-        # the next term is this one, T = |t| 2^k units, times r = Q/d; r
+        # the next term is this one, T = t 2^k units, times r = Q/d; r
         # only falls with m, so once r < 1 the tail is at most
         # T r/(1 - r) = T Q/(d - Q).  Stop once that is below one unit,
         # T Q < d - Q, tested exactly after a bit-length screen for T Q < d
         d = (m + 1) * (m + nu + 1)
         decaying = decaying or q_num < d * q_den
         if decaying and k + t.bit_length() + q_log <= d.bit_length():
-            if abs(t) * q_num << max(k, 0) < d * q_den - q_num << max(-k, 0):
-                # the lower sum would add 0 for each of those sub-unit
-                # terms, the upper sum adds the bound's ceiling, one unit
-                return sign * s + up, f
+            if t * q_num << max(k, 0) < d * q_den - q_num << max(-k, 0):
+                # n terms, each floored into s (under a unit each) after
+                # n - 1 steps that keep a factor >= 1 - 2^(2-v) of the
+                # exact ratio: T_j <= (t_j 2^k_j) (u/t0) / (1 - n 2^(2-v))
+                # for every summed j, and the tail is under one such unit
+                n = m - m0 + 1
+                s_hi = -(-((s + n + 1) * u << v) // (t0 * ((1 << v) - 4 * n)))
+                return s, s_hi + head, f
     raise RuntimeError("bessel series failed to converge within %d terms" % limit)
 
 
@@ -160,29 +209,33 @@ def bessel_i(nu: int, z, prec: int = DEFAULT_PREC) -> IntervalReal:
 
         I_nu(z) = sum_m (z/2)^(2m + nu) / (m! (m + nu)!).
 
-    Every term is positive and increasing in z, so the series is summed
-    twice with directed rounding (Brent-Zimmermann, *Modern Computer
-    Arithmetic*, ch. 4): from z.lo rounding every step down, which gives
-    a lower bound at any truncation, and from z.hi rounding every step up.
+    Every term is positive and increasing in z, so a lower bound at z.lo
+    and an upper bound at z.hi enclose I_nu over all of z; a point z takes
+    one pass of the series, an enclosure one at each end.
 
-    The sums run in Python integers.  A term is a mantissa T of
-    w = prec + guard bits and an exponent; guard is log2 of the term
-    count plus 6 bits, which covers the rounding of every term.  Since
-    each end of z has an integer mantissa, Q = (z/2)^2 is exact, and the
-    next term is T Q // (m (m + nu)), renormalised to w bits.  The terms
-    add into one fixed-point integer whose unit 2^F sits w bits below
-    the largest term.  The ratio r = Q/((m+1)(m+nu+1)) of the next term
-    to the current one only falls with m, so once r < 1 the tail after
-    a term T is at most T r/(1 - r); the sums stop at the first term
-    where that bound, an exact integer test, is below 2^F.  Every later
-    term is then below one unit, so the lower sum would add nothing for
-    them, and the upper sum adds the bound's ceiling, one unit of F.
-    Each sum is rounded to ``prec`` bits by the interval kernel, down for
-    the lower end and up for the upper.  F and guard set the tightness
-    only, never the direction of any rounding.  Rigorous for the whole
-    range used here (z up to ~10^4).  For large z the sums run a few
-    terms past the last term of at least one unit (m = 5775 at z = 10^4
-    and 144 bits).
+    A pass runs in Python integers, with w = prec + guard bits, guard
+    being log2 of the term count plus 6.  A term is a mantissa T of
+    v = w + 8 bits and an exponent.  Since each end of z has an integer
+    mantissa, Q = (z/2)^2 is exact, and the next term is
+    T Q // (m (m + nu)), renormalised to v bits, always rounded down.
+    The terms add into one fixed-point integer S whose unit 2^F sits
+    w bits below the largest term; S is a lower bound at any truncation.  The pass starts at the
+    first term m0 after a head worth under a quarter unit (m0 = 4233 at
+    z = 10^4 and 144 bits), enclosing T_m0 = [t0, u] 2^e directly.  The
+    ratio r = Q/((m+1)(m+nu+1)) of the next term to the current one only
+    falls with m, so once r < 1 the tail after a term T is at most
+    T r/(1 - r); the pass stops at the first term where that bound, an
+    exact integer test, is below one unit (m = 5775 at z = 10^4).
+
+    The same pass bounds the sum from above.  Each step floors twice and
+    keeps a factor of at least 1 - 2^(2-v) of the exact ratio, so after
+    n terms every summed term is at most u/t0 / (1 - n 2^(2-v)) times its
+    computed value; S + n + 1 units cover the summed terms, their
+    flooring and the tail, and the head adds at most m0 u 2^e, all in
+    integer arithmetic.  The guard bits keep n 2^(2-v) below 2^(-prec-9).
+    Each end is rounded to ``prec`` bits by the interval kernel, down for
+    the lower and up for the upper.  F, m0 and guard set the tightness
+    only, never the direction of any rounding.
     """
     if nu < 0:
         raise ValueError("nu must be a nonnegative integer")
@@ -192,8 +245,11 @@ def bessel_i(nu: int, z, prec: int = DEFAULT_PREC) -> IntervalReal:
         raise ValueError("bessel_i requires z >= 0")
     terms = int(float(z_iv.hi)) + prec + nu + 16
     w = prec + terms.bit_length() + 6
-    return from_dyadic(*_series_sum(nu, lo_man, lo_exp, w, 8 * terms, False),
-                       *_series_sum(nu, hi_man, hi_exp, w, 8 * terms, True), prec)
+    s_lo, s_hi, f = _series_bounds(nu, lo_man, lo_exp, w, 8 * terms)
+    f_hi = f
+    if (hi_man, hi_exp) != (lo_man, lo_exp):
+        _, s_hi, f_hi = _series_bounds(nu, hi_man, hi_exp, w, 8 * terms)
+    return from_dyadic(s_lo, f, s_hi, f_hi, prec)
 
 
 def i2_scaled_main(z, prec: Optional[int] = None) -> IntervalReal:
@@ -231,7 +287,8 @@ def auto_prec(z) -> int:
     The other 64 bits are headroom for the handful of outward roundings
     in the product and the subtraction; the series itself needs none of
     them, because :func:`bessel_i` sums it with its own guard bits (log2
-    of the term count plus 6) and rounds the sum to prec bits once.
+    of the term count plus 6), which keep the rounding of its one pass
+    under 2^-(prec + 4) relative, and rounds each bound to prec bits once.
     At z = 10^4 this is 144 bits.
     """
     z_hi = float(to_interval(z, 64).hi)

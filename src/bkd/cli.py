@@ -330,6 +330,8 @@ def _parse_z_grid(spec: str) -> list[float]:
         raise UsageError("--z-grid expects LO:HI:COUNT")
     if not (0 < lo <= hi) or not math.isfinite(hi) or count < 1:
         raise UsageError("bad z grid %r" % spec)
+    if count == 1 and lo != hi:
+        raise UsageError("--z-grid %s: one point cannot be both LO and HI" % spec)
     if lo < asymptotic.Z_REMAINDER_MIN:
         raise UsageError(
             "--z-grid LO must be >= (15/2)^6/120 = %s, where the remainder "

@@ -222,15 +222,19 @@ class PartitionTable(FrozenRecord):
     """Immutable table of exact values delta_k(0..N).
 
     ``coeffs[n]`` is delta_k(n) as a Python int.  Completed tables are
-    safe to share across threads.
+    safe to share across threads.  The content hash is kept once known;
+    it is not a field, so equality, hashing and repr ignore it.
     """
 
-    __slots__ = ("k", "N", "coeffs")
+    __slots__ = ("k", "N", "coeffs", "_digest")
 
     def __init__(self, k: int, N: int, coeffs: tuple[int, ...]) -> None:
         if len(coeffs) != N + 1:
             raise ValueError("coefficient array length != N + 1")
-        self._set(k=k, N=N, coeffs=coeffs)
+        self._set(k=k, N=N, coeffs=coeffs, _digest=None)
+
+    def _fields(self) -> tuple:
+        return self.k, self.N, self.coeffs
 
     def check_invariants(self) -> None:
         """Positivity and monotonicity of the stored values."""
@@ -271,13 +275,17 @@ class PartitionTable(FrozenRecord):
 
     def content_hash(self) -> str:
         """SHA-256 of the algorithm tag, k, N and every coefficient."""
-        return sha256(self._hashed_bytes()).hexdigest()
+        if self._digest is None:
+            self._set(_digest=sha256(self._hashed_bytes()).hexdigest())
+        return self._digest
 
     def to_bytes(self) -> bytes:
         """The file form, read by :func:`table_from_bytes`: the content
         hash in hex, a newline, then exactly the bytes that hash covers."""
         body = self._hashed_bytes()
-        return sha256(body).hexdigest().encode() + b"\n" + body
+        if self._digest is None:
+            self._set(_digest=sha256(body).hexdigest())
+        return self._digest.encode() + b"\n" + body
 
 
 def table_from_bytes(data: bytes, k: int, N: int) -> Optional[PartitionTable]:
@@ -307,7 +315,10 @@ def table_from_bytes(data: bytes, k: int, N: int) -> Optional[PartitionTable]:
     # among digit strings, an empty entry and one that starts with 0 sort below "1"
     if min(entries) < b"1":
         return None
-    return PartitionTable(k=k, N=N, coeffs=tuple(map(int, entries[: N + 1])))
+    table = PartitionTable(k=k, N=N, coeffs=tuple(map(int, entries[: N + 1])))
+    if stored == N:  # the digest checked is this table's content hash
+        table._set(_digest=digest.decode())
+    return table
 
 
 @functools.lru_cache(maxsize=32)

@@ -184,28 +184,56 @@ class TestBesselKernel:
             partial += term
         man, exp = to_interval(z, prec).dyadic_ends[:2]
         w, limit = prec + 20, 8 * (prec + 200)
-        s_lo, f_lo = bkd.asymptotic._series_sum(nu, man, exp, w, limit, False)
-        s_hi, f_hi = bkd.asymptotic._series_sum(nu, man, exp, w, limit, True)
-        assert s_lo * Fraction(2) ** f_lo <= partial
-        assert partial + term <= s_hi * Fraction(2) ** f_hi
+        s_lo, s_hi, f = bkd.asymptotic._series_bounds(nu, man, exp, w, limit)
+        assert s_lo * Fraction(2) ** f <= partial
+        assert partial + term <= s_hi * Fraction(2) ** f
         assert s_hi - s_lo < 2**12
+
+    @pytest.mark.parametrize("nu,z,m", [(2, 10**4, 0), (2, 10**4, 4233), (5, 7, 3), (0, 0.5, 1)])
+    def test_term_bounds_enclose_exact_term(self, nu, z, m):
+        # the pass's first term, against T_m = (z/2)^(2m + nu) / (m! (m + nu)!)
+        man, exp = to_interval(z, 64).dyadic_ends[:2]
+        w = 172
+        t, u, e = bkd.asymptotic._term_bounds(nu, man, exp, m, w)
+        exact = (Fraction(z) / 2) ** (2 * m + nu) / (factorial(m) * factorial(m + nu))
+        assert t.bit_length() == w
+        assert t * Fraction(2) ** e <= exact <= u * Fraction(2) ** e
+        assert u - t <= 4
 
     def test_series_stops_at_last_term_that_counts(self, monkeypatch):
         # at z = 10^4 and 144 bits every term after m = 5771 is below one
         # unit of the sum, but the term ratio first drops below 1/2 at
-        # m = 7070; the tail bound T r/(1 - r) stops within a few terms
-        last = []
+        # m = 7070; the tail bound T r/(1 - r) stops within a few terms.
+        # The terms below m = 4000 together are worth under one unit, so
+        # the one pass starts past them
+        passes = []
 
         def counting_range(*args):
-            last.append(None)
+            passes.append([])
             for m in range(*args):
-                last[-1] = m
+                passes[-1].append(m)
                 yield m
 
         monkeypatch.setattr(bkd.asymptotic, "range", counting_range, raising=False)
         bessel_i(2, 10**4, 144)
-        assert len(last) == 2
-        assert all(5771 <= m < 5800 for m in last), last
+        assert len(passes) == 1
+        first, last = passes[0][0], passes[0][-1]
+        assert first > 4000 and 5771 <= last < 5800, (first, last)
+
+    @pytest.mark.parametrize("z,passes", [(10**4, 1), (to_interval((100, 101), 64), 2)])
+    def test_one_pass_per_end(self, monkeypatch, z, passes):
+        # a point argument needs one pass of the series, an enclosure one
+        # at each end
+        calls = []
+        kernel = bkd.asymptotic._series_bounds
+
+        def counting_kernel(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(bkd.asymptotic, "_series_bounds", counting_kernel)
+        bessel_i(2, z, 64)
+        assert len(calls) == passes
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -585,6 +585,26 @@ class TestCache:
         assert "sha256=%s" % table.content_hash() in err
         assert body == self._body(1, 20, map(str, table.coeffs))
 
+    def test_expand_hashes_its_table_once(self, capsys, monkeypatch, cache_dir):
+        # the digest computed to write or to read the file is the checksum
+        # expand prints, unless the cached table is longer than the one printed
+        hashed = []
+
+        def counting_sha256(data):
+            hashed.append(len(data))
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(bkd.etaseries, "sha256", counting_sha256)
+        # a fresh table on every miss, so no digest is left over from another test
+        monkeypatch.setattr(cli, "delta_table", lambda k, N: PartitionTable(
+            k=k, N=N, coeffs=delta_table(k, N).coeffs))
+        for n, hashes in ((40, 1), (40, 1), (30, 2)):  # miss, hit, longer hit
+            hashed.clear()
+            code, _, err = run(capsys, "expand", "--k", "1", "--n", str(n))
+            digest = hashlib.sha256(self._body(1, n, map(str, delta_table(1, n).coeffs)))
+            assert code == 0 and len(hashed) == hashes, (n, hashed)
+            assert err.endswith(" sha256=%s\n" % digest.hexdigest())
+
     def test_tampered_cache_rebuilt(self, capsys, cache_dir):
         run(capsys, "expand", "--k", "1", "--n", "30")
         path = cache_dir / "delta_k1.tbl"
@@ -706,6 +726,7 @@ class TestUsage:
         ("scan", "conjecture", "--k", "1", "--r", "3", "--to", "10", "--format", "csv"),
         ("verify", "bessel", "--z-grid", "1484:inf:3"),
         ("verify", "bessel", "--z-grid", "1484:1e400:2"),
+        ("verify", "bessel", "--z-grid", "1484:10000:1"),
     ])
     def test_out_of_range_arguments(self, capsys, monkeypatch, argv):
         def no_work(*args):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -167,6 +168,14 @@ class TestSerialization:
         assert table_from_bytes(data, 1, 20) == delta_table(1, 20)
         assert table_from_bytes(data, 1, 31) is None
         assert table_from_bytes(data, 2, 5) is None
+
+    def test_kept_digest_is_not_a_field(self):
+        # a table read back knows its digest; one just built does not yet
+        fresh = PartitionTable(k=1, N=30, coeffs=delta_table(1, 30).coeffs)
+        read = table_from_bytes(delta_table(1, 30).to_bytes(), 1, 30)
+        assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+        assert read.content_hash() == fresh.content_hash()
+        assert pickle.loads(pickle.dumps(read)) == read
 
     @staticmethod
     def _stored(body: bytes) -> bytes:
