@@ -40,6 +40,7 @@ COMMANDS = [
      "--format", "csv"],
     ["verify", "bessel", "--z-grid", "1484:3000:3", "--format", "json"],
     ["verify", "bessel", "--z-grid", "10000:10000:1", "--prec", "64", "--format", "json"],
+    ["verify", "phi-psi", "--format", "json"],
 ]
 
 
