@@ -1,9 +1,9 @@
-"""Exact positivity certificates on rays.
+"""Positivity certificates on rays.
 
 One mechanism: the Taylor shift.  When every coefficient of p(x0 + y),
-enclosed over a rational pi interval, has a nonnegative lower end and the
-constant term is positive, p > 0 on [x0, oo) for every pi in the
-interval.  A point where the enclosure of p lies below zero refutes the
+enclosed as an IntervalReal with pi at the certificate's precision, has a
+nonnegative lower end and the constant term is positive, p > 0 on
+[x0, oo) for every pi in the enclosure.  A point where the enclosure of p lies below zero refutes the
 claim instead.  Sturm counts of rational polynomials locate the roots of
 the ratio-gap quadratic.
 """

@@ -19,7 +19,8 @@ no CSV.
 for bessel the schedule of asymptotic.remainder_precisions: at each z,
 ceil(6 log2 z) + 64 bits, doubled while the margin straddles 0, up to
 ceil(1.45 z) + 64.  For sandwich and theta-bounds it means 384 bits, the
-interval layer's default.
+interval layer's default, and for phi-psi 256 bits, the precision of
+every coefficient enclosure of the two certificates.
 
 Exit codes: 0 all checks pass, 1 mathematical counterexample found,
 2 precision-inconclusive outcome, 3 usage error, 4 internal error (the
@@ -373,6 +374,7 @@ def _verify_phi_psi(args) -> int:
 
     from . import positivity
 
+    prec = _parse_prec(args.prec) or positivity.DEFAULT_PREC
     t0 = time.perf_counter()
     psi = positivity.psi_poly()
     report = VerificationReport(
@@ -385,7 +387,7 @@ def _verify_phi_psi(args) -> int:
         ("phi-psi>=0", positivity.phi_poly() - psi, Fraction(33, 10)),
     )):
         try:
-            result = positivity.certify_positive_on_ray(poly, threshold)
+            result = positivity.certify_positive_on_ray(poly, threshold, prec)
         except positivity.Inconclusive:
             report.add(i, CheckOutcome.INCONCLUSIVE)
             continue
@@ -467,7 +469,7 @@ R_HELP = ("order r of D^r log; an r at which one exact product could pass "
           "2^22 bits is a usage error")
 PREC_HELP = ("bits (>= 64), or 'auto', the default: for bessel, ceil(6 log2 z) + 64 "
              "bits, doubled while a margin is undecided; for sandwich and "
-             "theta-bounds, 384 bits")
+             "theta-bounds, 384 bits; for phi-psi, 256 bits")
 
 
 def build_parser() -> _Parser:

@@ -1,21 +1,26 @@
-"""Exact certification of polynomial positivity on rays.
+"""Certification of polynomial positivity on rays.
 
-Everything here is rational arithmetic: polynomials carry exact
-``Fraction`` coefficients, optionally as rational combinations of powers
-of pi.  Transcendental constants enter only through rational enclosure
-pairs (lo, hi) (pi from the interval kernel, :func:`pi_bounds`), and
-every decision either holds for the whole enclosure or is reported as
-:class:`Inconclusive` so the caller can tighten it.
+A polynomial is a :class:`PolyQ`, whose coefficients are exact rational
+combinations of powers of pi, so that a difference such as phi - psi
+cancels exactly, or a plain coefficient list whose entries may also be
+:class:`~bkd.intervals.IntervalReal` enclosures, such as sqrt(alpha_k).
+A certificate encloses each coefficient once at a working precision
+``prec`` (pi from :func:`~bkd.intervals.pi_interval`) and runs on
+``IntervalReal``: every decision holds for every value in those
+enclosures, or is reported as :class:`Inconclusive` so the caller can
+raise the precision.  Sturm chains and hyperbolicity stay in exact
+rational arithmetic and take rational polynomials only.
 
 Certification methods:
 
-* Taylor shift (:func:`certify_positive_on_ray`): the coefficients of
-  p(x0 + y), enclosed over the whole pi interval, all have nonnegative
-  lower ends and the constant term's lower end is positive, so p > 0 on
-  [x0, oo) for every pi in the enclosure (Descartes' rule with no sign
-  variation; Collins & Akritas, SYMSAC 1976).  Refutations are points
-  where the enclosure of p lies below zero; Sturm counts of rational
-  polynomials only choose where to look for them.
+* Taylor shift (:func:`certify_positive_on_ray`): the enclosures of the
+  coefficients of p(x0 + y) all have nonnegative lower ends and the
+  constant term's lower end is positive, so p > 0 on [x0, oo) for every
+  value of the coefficients in their enclosures (Descartes' rule with no
+  sign variation; Collins & Akritas, SYMSAC 1976).  Refutations are
+  points where the enclosure of p lies below zero; Sturm counts of a
+  rational polynomial, or of the coefficient midpoints, only choose
+  where to look for them.
 * Hyperbolicity: the leading-coefficient signs of one reduced subresultant
   chain of p and p', with the Sturm chain of p as its fallback
   (:func:`is_hyperbolic`).
@@ -25,10 +30,10 @@ from __future__ import annotations
 
 from decimal import Context
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
-from .intervals import pi_interval
+from .intervals import IntervalReal, pi_interval, to_interval
 from .report import FrozenRecord, Record
 
 __all__ = [
@@ -36,7 +41,6 @@ __all__ = [
     "PolyQ",
     "PositivityCertificate",
     "RayRefutation",
-    "pi_bounds",
     "sturm_count",
     "is_hyperbolic",
     "certify_positive_on_ray",
@@ -48,34 +52,12 @@ __all__ = [
 ]
 
 Rational = Union[int, Fraction]
-QPair = tuple[Fraction, Fraction]
+DEFAULT_PREC = 256  # bits of a certificate's coefficient enclosures
 
 
 class Inconclusive(Exception):
     """Neither a certificate nor a refutation was found: the enclosures
     are too wide, or the Taylor shift at x0 has a sign variation."""
-
-
-# ---------------------------------------------------------------------------
-# Rational enclosures of the constants we need
-# ---------------------------------------------------------------------------
-
-def pi_bounds(bits: int = 256) -> QPair:
-    """Rational pair (lo, hi) with lo < pi < hi: pi rounded down and up
-    to ``bits`` bits."""
-    pi = pi_interval(bits)
-    return pi.lo_fraction(), pi.hi_fraction()
-
-
-def q_add(a: QPair, b: QPair) -> QPair:
-    return a[0] + b[0], a[1] + b[1]
-
-
-def q_scale(a: QPair, c: Rational) -> QPair:
-    c = Fraction(c)
-    if c >= 0:
-        return a[0] * c, a[1] * c
-    return a[1] * c, a[0] * c
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +90,8 @@ class PolyQ(FrozenRecord):
     Each coefficient is a finite sum of terms c * pi**e with c an exact
     rational and e a nonnegative integer; plain rational polynomials are
     the e = 0 case.  The trailing (highest-degree) coefficient is nonzero.
+    A coefficient known only as an enclosure goes in a plain coefficient
+    list instead (see :func:`certify_positive_on_ray`).
     """
 
     __slots__ = ("coeffs",)
@@ -143,31 +127,6 @@ class PolyQ(FrozenRecord):
         rho = Fraction(rho)
         return [sum((r * rho**p for p, r in c), Fraction(0)) for c in self.coeffs]
 
-    def coeff_bounds(self, pi_pair: QPair) -> list[QPair]:
-        """Enclosure of each coefficient over pi in ``pi_pair``; since
-        pi > 0, pi^e lies in [lo^e, hi^e], computed once per e."""
-        lo, hi = pi_pair
-        if lo < 0:
-            raise ValueError("the pi enclosure must be nonnegative")
-        powers: dict[int, QPair] = {}
-        out = []
-        for c in self.coeffs:
-            acc = (Fraction(0), Fraction(0))
-            for p, r in c:
-                if p not in powers:
-                    powers[p] = lo**p, hi**p
-                acc = q_add(acc, q_scale(powers[p], r))
-            out.append(acc)
-        return out
-
-    def eval_bounds(self, x: Rational, pi_pair: QPair) -> QPair:
-        """Rigorous rational enclosure of p(x) for exact rational x."""
-        x = Fraction(x)
-        acc = (Fraction(0), Fraction(0))
-        for cb in reversed(self.coeff_bounds(pi_pair)):
-            acc = q_add(q_scale(acc, x), cb)
-        return acc
-
     def __neg__(self) -> "PolyQ":
         return PolyQ.make([[(p, -r) for p, r in c] for c in self.coeffs])
 
@@ -199,11 +158,14 @@ class PolyQ(FrozenRecord):
 
 
 def _as_fraction_list(p) -> Optional[list[Fraction]]:
-    """Plain rational coefficient list, or None when p really needs pi."""
+    """Plain rational coefficient list, or None when p really needs pi or
+    holds an enclosure."""
     if isinstance(p, PolyQ):
         if p.uses_pi():
             return None
         return [sum((r for _, r in c), Fraction(0)) for c in p.coeffs]
+    if any(isinstance(c, IntervalReal) for c in p):
+        return None
     return [Fraction(c) for c in p]
 
 
@@ -436,10 +398,12 @@ def sturm_count(
     b: Optional[Rational] = None,
 ) -> int:
     """Distinct real roots of the rational polynomial p in (a, b]; None
-    endpoints are infinite.  A :class:`PolyQ` with pi terms is rejected."""
+    endpoints are infinite.  A :class:`PolyQ` with pi terms, or a list
+    holding an ``IntervalReal``, is rejected."""
     plain = _as_fraction_list(p)
     if plain is None:
-        raise ValueError("sturm_count takes rational polynomials; p has pi terms")
+        raise ValueError("sturm_count takes rational polynomials; p has pi "
+                         "terms or enclosures")
     return _count_between(
         _rational_chain(plain),
         None if a is None else Fraction(a),
@@ -451,28 +415,44 @@ def sturm_count(
 # Ray positivity certificates
 # ---------------------------------------------------------------------------
 
-def _shifted_coeffs(coeffs: Sequence[QPair], shift: Fraction) -> list[QPair]:
-    """Interval coefficients of q(shift + y) in y, for q = sum coeffs[j] x^j."""
-    out = [(Fraction(0), Fraction(0))] * len(coeffs)
-    for j, cj in enumerate(coeffs):
-        for i in range(j + 1):
-            out[i] = q_add(out[i], q_scale(cj, comb(j, i) * shift ** (j - i)))
-    return out
+def _enclose(p, prec: int) -> list[IntervalReal]:
+    """Each coefficient of p as an enclosure at ``prec`` bits: a term
+    r pi^e of a :class:`PolyQ` as r times pi_interval(prec)^e, an int or
+    Fraction through to_interval, an IntervalReal as it is."""
+    if not isinstance(p, PolyQ):
+        return [to_interval(c, prec) for c in p]
+    pi, zero = pi_interval(prec), to_interval(0, prec)
+    return [sum((pi**e * r for e, r in c), zero) for c in p.coeffs]
 
 
-def _shift_witness(p: PolyQ, x0: Fraction, pi_bits: int) -> Optional[dict]:
+def _value(coeffs: Sequence[IntervalReal], x: Fraction, prec: int) -> IntervalReal:
+    """Enclosure of p(x) by Horner's rule, with x enclosed at ``prec`` bits."""
+    x_iv = to_interval(x, prec)
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x_iv + c
+    return acc
+
+
+def _shift_witness(coeffs: Sequence[IntervalReal], x0: Fraction,
+                   prec: int) -> Optional[dict]:
     """Witness of the Taylor-shift test at x0, or None when it fails.
 
-    The test passes when every coefficient of p(x0 + y), enclosed over the
-    pi interval, has a nonnegative lower end and the constant term's lower
-    end is positive: then p(x0 + y) >= p(x0) > 0 for every y >= 0 and
-    every pi in the enclosure.
+    The coefficients of p(x0 + y) come from repeated synthetic division by
+    y - x0, in O(d^2) interval operations.  The test passes when each has
+    a nonnegative lower end and the constant term's lower end is
+    positive: then p(x0 + y) >= p(x0) > 0 for every y >= 0 and every
+    value of the coefficients in their enclosures.
     """
-    lows = [lo for lo, _ in _shifted_coeffs(p.coeff_bounds(pi_bounds(pi_bits)), x0)]
+    x0_iv, shifted = to_interval(x0, prec), list(coeffs)
+    for i in range(len(shifted) - 1):
+        for j in reversed(range(i, len(shifted) - 1)):
+            shifted[j] = shifted[j] + x0_iv * shifted[j + 1]
+    lows = [c.lo for c in shifted]
     if lows[0] <= 0 or min(lows) < 0:
         return None
     return {
-        "pi_bits": pi_bits,
+        "prec": prec,
         "degree": len(lows) - 1,
         "constant_lo_approx": _approx(lows[0]),
         "min_lo_approx": _approx(min(lows)),
@@ -485,14 +465,15 @@ def _approx(q: Fraction) -> str:
 
 
 class PositivityCertificate(Record):
-    """Witness that a polynomial is positive on [x0, oo) for every pi in
-    the enclosure of ``pi_bits``: the TAYLOR_SHIFT test of
-    :func:`certify_positive_on_ray`, which :meth:`recheck` re-derives."""
+    """Witness that a polynomial is positive on [x0, oo) for every value of
+    its coefficients in their enclosures at the witness's ``prec`` bits:
+    the TAYLOR_SHIFT test of :func:`certify_positive_on_ray`, which
+    :meth:`recheck` re-derives."""
 
     __slots__ = ("method", "threshold", "witness", "_poly")
 
     def __init__(self, method: str, threshold: Fraction, witness: dict,
-                 _poly: PolyQ) -> None:
+                 _poly) -> None:
         self.method = method  # "TAYLOR_SHIFT"
         self.threshold, self.witness, self._poly = threshold, witness, _poly
 
@@ -504,9 +485,11 @@ class PositivityCertificate(Record):
         }
 
     def recheck(self) -> bool:
-        """Re-derive the shifted coefficients and compare the witness."""
-        pi_bits = self.witness["pi_bits"]
-        return _shift_witness(self._poly, self.threshold, pi_bits) == self.witness
+        """Enclose the coefficients again at the witness's precision,
+        re-derive the shifted coefficients and compare the witness."""
+        prec = self.witness["prec"]
+        coeffs = _enclose(self._poly, prec)
+        return _shift_witness(coeffs, self.threshold, prec) == self.witness
 
 
 class RayRefutation(Record):
@@ -554,69 +537,74 @@ def _probe_points(coeffs: list[Fraction], x0: Fraction) -> tuple[int, list[Fract
     return roots, sorted(points)
 
 
-def certify_positive_on_ray(p, x0: Rational, pi_bits: int = 256):
+def certify_positive_on_ray(p, x0: Rational, prec: int = DEFAULT_PREC):
     """Certify p > 0 on [x0, oo), or exhibit a refutation point.
+
+    p is a :class:`PolyQ` or an ascending coefficient list of ints,
+    Fractions and :class:`~bkd.intervals.IntervalReal` enclosures.  Each
+    coefficient is enclosed once, at ``prec`` bits, and those enclosures
+    serve every step, so a verdict holds for every value of the
+    coefficients in them.
 
     Returns a :class:`RayRefutation` when the enclosure of p(x0) lies
     below zero, else a :class:`PositivityCertificate` when the Taylor
     shift test at x0 passes.  Otherwise it looks for a point past x0
     where p is provably negative: walking out when the leading
     coefficient is negative, else probing around the real roots beyond
-    x0, isolated by Sturm counts of p (of p with pi at the lower end of
-    its enclosure when p has pi terms).
+    x0, isolated by Sturm counts of p, or of the midpoints of its
+    coefficient enclosures when p is not rational.
 
-    Raises :class:`Inconclusive` when neither is found: the pi enclosure
-    is too wide, or a rational p has no real root beyond x0 and still
-    fails the shift test.  Raises ValueError when p(x0) = 0, or when a
-    rational p has roots beyond x0 but never dips negative (even-order
-    contact): strict positivity is false, yet no point refutes it.
+    Raises :class:`Inconclusive` when neither is found: the enclosures
+    are too wide for ``prec``, or a rational p has no real root beyond x0
+    and still fails the shift test.  Raises ValueError when a rational p
+    has p(x0) = 0, or has roots beyond x0 but never dips negative
+    (even-order contact): strict positivity is false, yet no point
+    refutes it.
     """
     if not isinstance(p, PolyQ):
-        p = PolyQ.make(list(p))
-    if not p.coeffs:
+        p = list(p)
+        if not any(isinstance(c, IntervalReal) for c in p):
+            p = PolyQ.make(p)
+    exact = _as_fraction_list(p)
+    coeffs = _enclose(p, prec)
+    if not coeffs:
         raise ValueError("zero polynomial")
     x0 = Fraction(x0)
-    pi_pair = pi_bounds(pi_bits)
-    v0 = p.eval_bounds(x0, pi_pair)
-    if v0[1] < 0:
-        return RayRefutation(point=x0, value_hi=v0[1])
-    if v0 == (0, 0):
+    v0 = _value(coeffs, x0, prec)
+    if v0.hi < 0:
+        return RayRefutation(point=x0, value_hi=v0.hi)
+    if exact is not None and not sum(c * x0**i for i, c in enumerate(exact)):
         raise ValueError(
             "p(x0) = 0 exactly: strict positivity fails at the threshold itself"
         )
-    witness = _shift_witness(p, x0, pi_bits)
+    witness = _shift_witness(coeffs, x0, prec)
     if witness is not None:
         return PositivityCertificate("TAYLOR_SHIFT", x0, witness, p)
 
-    lead_lo, lead_hi = p.coeff_bounds(pi_pair)[-1]
-    if lead_hi < 0:
-        # eventually negative: walk out until provably below zero
-        for e in range(512):
-            x = x0 + 2**e
-            v = p.eval_bounds(x, pi_pair)
-            if v[1] < 0:
-                return RayRefutation(point=x, value_hi=v[1])
-        raise Inconclusive("could not locate a provably negative point")
-    if lead_lo <= 0:
-        raise Inconclusive("leading coefficient sign undecided; tighten pi_bits")
-    plain = _as_fraction_list(p)
-    if plain is None:
-        _, points = _probe_points(p.substitute_pi(pi_pair[0]), x0)
+    lead = coeffs[-1]
+    if lead.hi < 0:  # eventually negative: walk out
+        points = [x0 + 2**e for e in range(512)]
+    elif lead.lo <= 0:
+        raise Inconclusive("leading coefficient sign undecided; raise prec")
+    elif exact is None:
+        # the midpoints only choose where to look; a refutation is still
+        # an enclosure of p below zero
+        _, points = _probe_points([c.mid for c in coeffs], x0)
     else:
-        roots, points = _probe_points(plain, x0)
+        roots, points = _probe_points(exact, x0)
         if roots == 0:
             raise Inconclusive(
                 "p has no real root beyond x0, but p(x0 + y) has a negative "
                 "coefficient: the shift test does not certify it"
             )
     for x in points:
-        v = p.eval_bounds(x, pi_pair)
-        if v[1] < 0:
-            return RayRefutation(point=x, value_hi=v[1])
-    if plain is None:
+        v = _value(coeffs, x, prec)
+        if v.hi < 0:
+            return RayRefutation(point=x, value_hi=v.hi)
+    if exact is None or lead.hi < 0:
         raise Inconclusive(
-            "the shift test fails and no probe is negative over the whole "
-            "pi enclosure; tighten pi_bits"
+            "the shift test fails and no probe is provably negative over the "
+            "whole coefficient enclosures; raise prec"
         )
     raise ValueError(
         "polynomial has roots beyond x0 but never provably dips negative "

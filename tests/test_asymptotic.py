@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, log
 from pathlib import Path
 
 import mpmath as mp
@@ -54,6 +54,44 @@ def scaled_main_fraction(z: int) -> Fraction:
         + Fraction(10395, 32768 * z**4)
         + Fraction(135135, 262144 * z**5)
     )
+
+
+def exact_bessel_series(nu: int, x: Fraction, unit: Fraction) -> tuple[Fraction, Fraction]:
+    """(P, R) with P <= I_nu(x) <= P + R, exactly, and R under 2^-20 units:
+    the partial sum P stops at a term below that once the term ratio
+    (x/2)^2 / ((m + 1)(m + nu + 1)), which only falls, is below 1/2, so
+    the tail after the term is at most the term itself."""
+    half_sq = (x / 2) ** 2
+    term = (x / 2) ** nu / factorial(nu)
+    partial, m = term, 0
+    while not (2 * half_sq < (m + 1) * (m + nu + 1) and term * 2**20 < unit):
+        m += 1
+        term = term * half_sq / (m * (m + nu))
+        partial += term
+    return partial, term
+
+
+def check_series_bounds(nu: int, x, w: int) -> tuple[int, int]:
+    """One pass of the Bessel kernel at x with w bits: check S_lo 2^F <= P
+    and P + R <= S_hi 2^F against the exact series, and return S_hi - S_lo
+    and the index m0 of the pass's first term."""
+    starts = []
+    term_bounds = bkd.asymptotic._term_bounds
+
+    def spy(nu, man, exp, m, v):
+        starts.append(m)
+        return term_bounds(nu, man, exp, m, v)
+
+    man, exp = to_interval(x, 64).dyadic_ends[:2]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bkd.asymptotic, "_term_bounds", spy)
+        s_lo, s_hi, f = bkd.asymptotic._series_bounds(nu, man, exp, w, 4096)
+    unit = Fraction(2) ** f
+    partial, tail = exact_bessel_series(nu, Fraction(x), unit)
+    assert s_lo * unit <= partial
+    assert partial + tail <= s_hi * unit
+    assert len(starts) == 1
+    return s_hi - s_lo, starts[0]
 
 
 class TestSizeParam:
@@ -188,6 +226,39 @@ class TestBesselKernel:
         assert s_lo * Fraction(2) ** f <= partial
         assert partial + term <= s_hi * Fraction(2) ** f
         assert s_hi - s_lo < 2**12
+
+    # x = 1/4 and 1/2: the terms the lower sum floors away total a few
+    # hundredths of a unit, so it must sit within one unit of the series;
+    # x = 10, 27/2, 29/2: the pass starts past a head (m0 > 0)
+    @pytest.mark.parametrize("nu,x,w,head", [
+        (0, Fraction(1, 4), 6, False), (1, Fraction(1, 4), 7, False),
+        (2, Fraction(1, 4), 1, False), (0, Fraction(1, 2), 10, False),
+        (0, 10, 1, True), (0, Fraction(27, 2), 1, True), (3, Fraction(29, 2), 1, True),
+    ])
+    def test_series_bounds_against_exact_sums(self, nu, x, w, head):
+        # small w and small x, where the bounds are a few units apart
+        width, m0 = check_series_bounds(nu, x, w)
+        assert width <= 16
+        assert (m0 > 0) == head
+
+    @pytest.mark.parametrize("skew", ["finer_unit", "longest_head"])
+    @pytest.mark.parametrize("nu,x,w", [(0, 10, 1), (0, Fraction(27, 2), 1), (3, Fraction(29, 2), 1),
+                                        (2, 40, 8), (0, 24, 12), (5, 7, 4), (1, Fraction(1, 4), 7)])
+    def test_float_estimates_set_tightness_only(self, nu, x, w, skew, monkeypatch):
+        # the float estimates of log2 T_m choose F and the head start m0;
+        # the exact checks keep the bounds rigorous whatever they say.
+        # finer_unit lowers every estimate by 16 bits: 2^F sits 2^16 times
+        # finer, and the rounding of the terms weighs thousands of units
+        # against the n + 1 that cover their flooring.  longest_head makes
+        # every head look negligible: m0 goes as far as the exact check
+        # m0 (m0 + nu) <= (x/2)^2 allows, and the head holds much of the sum
+        if skew == "finer_unit":
+            lgamma = bkd.asymptotic.lgamma
+            monkeypatch.setattr(bkd.asymptotic, "lgamma", lambda v: lgamma(v) + 8 * log(2))
+        else:
+            monkeypatch.setattr(bkd.asymptotic, "log2", lambda v: -float("inf"))
+        _, m0 = check_series_bounds(nu, x, w)
+        assert (m0 > 0) == (x >= 10)
 
     @pytest.mark.parametrize("nu,z,m", [(2, 10**4, 0), (2, 10**4, 4233), (5, 7, 3), (0, 0.5, 1)])
     def test_term_bounds_enclose_exact_term(self, nu, z, m):

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +14,7 @@ import bkd
 from bkd import cli, positivity
 from bkd.cli import main
 from bkd.etaseries import ALGORITHM, PartitionTable, delta_table
+from bkd.intervals import to_interval
 
 SRC = str(Path(bkd.__file__).resolve().parent.parent)
 
@@ -166,12 +166,18 @@ class TestVerify:
         assert set(obj["certificates"]) == {"psi>=0", "phi-psi>=0"}
 
     def test_phi_psi_wide_pi_is_inconclusive(self, capsys, monkeypatch):
-        monkeypatch.setattr(positivity, "pi_bounds", lambda bits=256: (Fraction(3), Fraction(4)))
+        monkeypatch.setattr(positivity, "pi_interval", lambda prec: to_interval((3, 4), prec))
         code, out, _ = run(capsys, "verify", "phi-psi", "--format", "json")
         assert code == 2
         obj = json.loads(out)
         assert (obj["from"], obj["to"]) == (0, 1)
         assert obj["inconclusive"] == [0, 1] and obj["failures"] == []
+
+    def test_phi_psi_prec(self, capsys):
+        code, out, _ = run(capsys, "verify", "phi-psi", "--prec", "64", "--format", "json")
+        assert code == 0
+        witnesses = [c["witness"] for c in json.loads(out)["certificates"].values()]
+        assert [w["prec"] for w in witnesses] == [64, 64]
 
     def test_phi_psi_failed_recheck_is_internal(self, capsys, monkeypatch):
         monkeypatch.setattr(positivity.PositivityCertificate, "recheck", lambda self: False)

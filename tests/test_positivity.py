@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bkd import positivity
 from bkd.inequalities import jensen_coeffs
+from bkd.intervals import pi_interval, sqrt_rational_interval, to_interval
 from bkd.positivity import (
     Inconclusive,
     PolyQ,
@@ -18,18 +19,10 @@ from bkd.positivity import (
     lemma_quadratic,
     lemma_uv_check,
     phi_poly,
-    pi_bounds,
     psi_poly,
     sturm_count,
     tau_positivity_check,
 )
-
-
-class TestEnclosures:
-    def test_pi_bounds(self):
-        lo, hi = pi_bounds(128)
-        assert Fraction(103993, 33102) < lo < hi < Fraction(355, 113)
-        assert hi - lo < Fraction(1, 2**120)
 
 
 class TestPolyQ:
@@ -43,12 +36,12 @@ class TestPolyQ:
         subs = p.substitute_pi(Fraction(3))
         assert subs == [Fraction(-9), Fraction(0), Fraction(1)]
 
-    def test_eval_bounds_contains_truth(self):
+    def test_value_contains_truth(self):
         p = PolyQ.from_terms({2: {0: 1}, 0: {2: -1}})
-        lo, hi = p.eval_bounds(Fraction(4), pi_bounds(128))
-        # sharper reference enclosure of 16 - pi^2 from 512-bit pi bounds
-        ref_lo, ref_hi = pi_bounds(512)
-        assert lo <= 16 - ref_hi**2 and 16 - ref_lo**2 <= hi
+        value = positivity._value(positivity._enclose(p, 128), Fraction(4), 128)
+        # sharper reference enclosure of 16 - pi^2 from a 512-bit pi
+        assert value.contains(16 - pi_interval(512) ** 2)
+        assert value.width < Fraction(1, 2**120)
 
     def test_sub(self):
         d = phi_poly() - psi_poly()
@@ -91,7 +84,8 @@ class TestSturmCount:
 
     def test_psi_has_no_roots_beyond_six(self):
         # sturm_count takes rational polynomials: pi at each end of its enclosure
-        for end in pi_bounds(256):
+        pi = pi_interval(256)
+        for end in (pi.lo, pi.hi):
             assert sturm_count(psi_poly().substitute_pi(end), 6, None) == 0
 
     def test_zero_polynomial_rejected(self):
@@ -102,6 +96,10 @@ class TestSturmCount:
         p = PolyQ.from_terms({1: {0: 1}, 0: {1: -1}})  # X - pi
         with pytest.raises(ValueError, match="pi"):
             sturm_count(p, 0, 4)
+
+    def test_enclosure_rejected(self):
+        with pytest.raises(ValueError, match="enclosures"):
+            sturm_count([-sqrt_rational_interval(Fraction(7, 3), 64), 1])
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -263,11 +261,36 @@ class TestRayCertificates:
         assert not cert.recheck()
 
     def test_certificates_with_a_coarse_pi_enclosure(self):
-        # the shift test holds for every pi in a 16-bit enclosure
+        # the shift test holds with pi and every operation at 16 bits
         for poly, x0 in ((psi_poly(), 6), (phi_poly() - psi_poly(), Fraction(33, 10)),
                          (phi_poly(), 6)):
-            cert = certify_positive_on_ray(poly, x0, pi_bits=16)
+            cert = certify_positive_on_ray(poly, x0, prec=16)
             assert isinstance(cert, PositivityCertificate) and cert.recheck()
+            assert cert.witness["prec"] == 16
+
+    def test_sqrt_alpha_coefficient(self):
+        # x - sqrt(alpha_1), alpha_1 = 7/3, with the root known only as an
+        # enclosure: positive from 2 on, negative at 1
+        r = sqrt_rational_interval(Fraction(7, 3), 256)
+        cert = certify_positive_on_ray([-r, 1], 2)
+        assert isinstance(cert, PositivityCertificate) and cert.recheck()
+        refutation = certify_positive_on_ray([-r, 1], 1)
+        assert isinstance(refutation, RayRefutation)
+        assert refutation.point == 1 and refutation.value_hi < 0
+
+    def test_one_enclosure_per_call(self, monkeypatch):
+        # the value at x0, the shift, the leading sign and every probe
+        # share one coefficient enclosure
+        calls = []
+        enclose = positivity._enclose
+
+        def counting(p, prec):
+            calls.append(prec)
+            return enclose(p, prec)
+
+        monkeypatch.setattr(positivity, "_enclose", counting)
+        r = certify_positive_on_ray([15, -8, 1], 2)  # (X - 3)(X - 5)
+        assert isinstance(r, RayRefutation) and calls == [256]
 
     def test_phi_minus_psi_certificate(self):
         cert = certify_positive_on_ray(phi_poly() - psi_poly(), Fraction(33, 10))
@@ -304,12 +327,23 @@ class TestRayCertificates:
         # at either end of the enclosure, but p(5) = -1/16 at pi = 7/2
         p = PolyQ.from_terms({2: {0: 1}, 1: {0: -10},
                               0: {0: Fraction(595, 16), 1: -7, 2: 1}})
-        assert pi_bounds(2) == (3, 4)
-        assert [sturm_count(p.substitute_pi(end), 0, None) for end in (3, 4)] == [0, 0]
-        assert PolyQ.make(p.substitute_pi(Fraction(7, 2))).eval_bounds(
-            5, (0, 0)) == (Fraction(-1, 16), Fraction(-1, 16))
+        pi = to_interval((3, 4), 256)
+        assert [sturm_count(p.substitute_pi(end), 0, None)
+                for end in (pi.lo, pi.hi)] == [0, 0]
+        at_7_2 = p.substitute_pi(Fraction(7, 2))
+        assert sum(c * 5**i for i, c in enumerate(at_7_2)) == Fraction(-1, 16)
         with pytest.raises(Inconclusive):
-            certify_positive_on_ray(p, 0, pi_bits=2)
+            certify_positive_on_ray([Fraction(595, 16) - 7 * pi + pi**2, -10, 1], 0)
+
+    def test_probes_of_an_enclosed_polynomial(self):
+        # x^2 - 10x + c: the Sturm probes come from the midpoint of c; a
+        # probe refutes only when p's whole enclosure lies below zero
+        c = to_interval((24, Fraction(49, 2)), 256)  # p(5) <= -1/2 for every c
+        r = certify_positive_on_ray([c, -10, 1], 0)
+        assert isinstance(r, RayRefutation) and 4 < r.point < 6 and r.value_hi < 0
+        c = to_interval((Fraction(49, 2), Fraction(101, 4)), 256)  # p > 0 for c > 25
+        with pytest.raises(Inconclusive):
+            certify_positive_on_ray([c, -10, 1], 0)
 
     def test_root_free_rational_failing_the_shift_is_inconclusive(self):
         # x^2 - x + 1 > 0 everywhere, but its coefficients at x0 = 0 vary
