@@ -341,7 +341,7 @@ class TestRayCertificates:
         c = to_interval((24, Fraction(49, 2)), 256)  # p(5) <= -1/2 for every c
         r = certify_positive_on_ray([c, -10, 1], 0)
         assert isinstance(r, RayRefutation) and 4 < r.point < 6 and r.value_hi < 0
-        c = to_interval((Fraction(49, 2), Fraction(101, 4)), 256)  # p > 0 for c > 25
+        c = to_interval((Fraction(49, 2), Fraction(101, 4)), 256)  # p(5) = c - 25: either sign
         with pytest.raises(Inconclusive):
             certify_positive_on_ray([c, -10, 1], 0)
 
