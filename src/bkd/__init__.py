@@ -8,7 +8,8 @@ monotonicity / iterated-difference checks.  The analytic side
 (``intervals``, ``asymptotic``) produces rigorous enclosures of the
 Bessel-type main term and its printed bounds so exact values can be
 confronted with analytic envelopes.  ``positivity`` certifies polynomial
-positivity on rays with exact rational arithmetic.
+positivity on rays by a Taylor shift on ``IntervalReal`` enclosures of
+the coefficients; its Sturm counts stay in exact rational arithmetic.
 
 Importing the package loads none of these modules; import names from the
 module that defines them.  The interval arithmetic runs on Python

@@ -22,6 +22,9 @@ ceil(1.45 z) + 64.  For sandwich and theta-bounds it means 384 bits, the
 interval layer's default, and for phi-psi 256 bits, the precision of
 every coefficient enclosure of the two certificates.
 
+An option that the chosen check does not read (--k, --from or --to for
+bessel and phi-psi, say, or --prec for an exact check) is a usage error.
+
 Exit codes: 0 all checks pass, 1 mathematical counterexample found,
 2 precision-inconclusive outcome, 3 usage error, 4 internal error (the
 traceback goes to stderr; no verdict was reached).
@@ -263,15 +266,20 @@ def _check_dlog_order(r: int, top: int) -> None:
 
 def _verify_range(args, check: Check) -> int:
     """Run a check of the table on [--from, --to] and print its report."""
+    if args.k is None:
+        raise UsageError("--k is required for this check")
+    if args.to is None:
+        raise UsageError("--to is required for this check")
     value = getattr(args, check.option) if check.option else None
     if check.option and value is None:
         raise UsageError("verify %s requires --%s" % (args.check, check.option))
+    from_n = args.from_n or 1  # _validate refused --from 0
     leading = (value,) if check.option else ()  # evaluate's arguments before n
     extra = rows = ratio_csv = None
     if check.interval:
         if args.k not in (1, 2):
             raise UsageError("verify %s is stated for --k 1 or 2" % args.check)
-        if args.from_n < 2:
+        if from_n < 2:
             raise UsageError("verify %s needs --from >= 2 (Lambda(n) uses n - 1)"
                              % args.check)
         from . import asymptotic  # loaded before the timed scan
@@ -284,7 +292,7 @@ def _verify_range(args, check: Check) -> int:
         _check_dlog_order(value, table.coeffs[-1])
     report = inequalities.scan_check(table, check.report.format(value),
                                      partial(check.evaluate, table, *leading),
-                                     args.from_n, args.to, collect_margins=args.margins)
+                                     from_n, args.to, collect_margins=args.margins)
     report.notes = check.notes
     if rows is not None:
         ratio_csv = _ratio_csv_rows(args.k, table, prec, rows)
@@ -293,7 +301,9 @@ def _verify_range(args, check: Check) -> int:
 
 def _ratio_csv_rows(k: int, table, prec: int, rows) -> str:
     """Per-n dump: exact theta as a rational, every analytic quantity as
-    a decimal enclosure with its precision tag, plus the verdict.
+    a decimal enclosure with its precision tag, plus the verdict.  Each
+    enclosure is ``IntervalReal.dumps()``, which rounds its ends outward,
+    so the printed pair contains it.
 
     ``rows`` holds (n, outcome, bounds, factors): the ratio bounds and
     (g, G) the check computed, or None, in which case they are computed here.
@@ -352,7 +362,7 @@ def _verify_bessel(args) -> int:
     t0 = time.perf_counter()
     report = VerificationReport(
         check_name="bessel",
-        k=args.k or 0,
+        k=0,
         from_n=int(grid[0]),
         to_n=int(grid[-1]),
         notes="z-grid %s (failures/inconclusive hold grid indices)"
@@ -378,7 +388,7 @@ def _verify_phi_psi(args) -> int:
     t0 = time.perf_counter()
     psi = positivity.psi_poly()
     report = VerificationReport(
-        check_name="phi-psi", k=args.k or 0, from_n=0, to_n=1,
+        check_name="phi-psi", k=0, from_n=0, to_n=1,
         notes="certificate indices: 0 psi>=0 on [6, oo), 1 phi-psi>=0 on [33/10, oo)",
     )
     certs = {}
@@ -424,14 +434,17 @@ def _cmd_verify(args) -> int:
         raise UsageError("verify %s has no CSV output%s"
                          % (args.check, " without --margins" if check else ""))
     if args.check == "bessel":
-        return _verify_bessel(args)
-    if args.check == "phi-psi":
-        return _verify_phi_psi(args)
-    if args.k is None:
-        raise UsageError("--k is required for this check")
-    if args.to is None:
-        raise UsageError("--to is required for this check")
-    return _verify_range(args, check)
+        reads, verify = {"z_grid", "prec"}, _verify_bessel
+    elif args.check == "phi-psi":
+        reads, verify = {"prec"}, _verify_phi_psi
+    else:  # an exact check reads --margins and its option, an interval check --prec
+        reads = {"k", "from_n", "to", "prec" if check.interval else "margins", check.option}
+        verify = partial(_verify_range, check=check)
+    for flag in ("k", "from", "to", "r", "d", "prec", "z-grid", "margins"):
+        dest = "from_n" if flag == "from" else flag.replace("-", "_")
+        if getattr(args, dest) not in (None, False) and dest not in reads:
+            raise UsageError("verify %s does not take --%s" % (args.check, flag))
+    return verify(args)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +505,7 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="run a registered check over a range")
     p_verify.add_argument("check")
     common(p_verify, ("csv", "json", "text"))
-    p_verify.add_argument("--from", dest="from_n", type=int, default=1)
+    p_verify.add_argument("--from", dest="from_n", type=int, default=None)  # absent: 1
     p_verify.add_argument("--to", type=int, default=None)
     p_verify.add_argument("--r", type=int, default=None, help=R_HELP)
     p_verify.add_argument("--d", type=int, default=None)
@@ -525,11 +538,11 @@ def _validate(args) -> None:
             raise UsageError("--%s must be >= 1" % flag)
     if getattr(args, "r", None) is not None:
         _check_dlog_order(args.r, 2)  # a(n) >= 2 for n >= 1: refused before any table
-    from_n = getattr(args, "from_n", 1)
-    if from_n < 1:
+    from_n = getattr(args, "from_n", None)  # None, not 1, so that verify sees it was given
+    if from_n is not None and from_n < 1:
         raise UsageError("--from must be >= 1")
-    if getattr(args, "to", None) is not None and args.to < from_n:
-        raise UsageError("--to %d is below --from %d" % (args.to, from_n))
+    if getattr(args, "to", None) is not None and args.to < (from_n or 1):
+        raise UsageError("--to %d is below --from %d" % (args.to, from_n or 1))
 
 
 def main(argv=None) -> int:

@@ -12,22 +12,25 @@ Fraction enters as p/q rounded once down and once up at the interval's
 precision, so nested rationals get nested enclosures.  Addition,
 subtraction, multiplication, division and ``sqrt`` compute each endpoint
 exactly, or with a sticky bit below its last place, and round it once:
-they are correctly rounded.  Powers, ``abs``, negation, pi and
-:meth:`IntervalReal.dumps` follow the rules of mpmath 1.3's interval
-arithmetic (``libmpi``), so the endpoints equal those of ``mpmath.iv`` at
-the same precision.  (mpmath shortcuts a sum whose summands lie more than
-prec + 4 bits apart; the two agree whenever the larger summand has at
-most prec bits, as every result of an operation here has.)  ``exp`` is
-rigorous and within a few units in the last place, not bit-identical.
-The arithmetic follows Brent and Zimmermann, *Modern Computer Arithmetic*
-(2010), ch. 3-4.
+they are correctly rounded.  Powers, ``abs``, negation and pi follow the
+rules of mpmath 1.3's interval arithmetic (``libmpi``), so the endpoints
+equal those of ``mpmath.iv`` at the same precision.  (mpmath shortcuts a
+sum whose summands lie more than prec + 4 bits apart; the two agree
+whenever the larger summand has at most prec bits, as every result of an
+operation here has.)  ``exp`` is rigorous and within a few units in the
+last place, not bit-identical.  :meth:`IntervalReal.dumps` and ``repr``
+round outward too: each end is printed in decimal with the standard
+library's ``decimal``, the lower end rounded down and the upper end up,
+so the printed pair contains the enclosure.  The arithmetic follows
+Brent and Zimmermann, *Modern Computer Arithmetic* (2010), ch. 3-4.
 """
 
 from __future__ import annotations
 
 import functools
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context
 from fractions import Fraction
-from math import isqrt, log
+from math import isqrt
 
 __all__ = [
     "IntervalReal",
@@ -229,70 +232,14 @@ def _check_prec(prec: int) -> int:
     return prec
 
 
-# ---------------------------------------------------------------------------
-# Decimal output, as mpmath's to_str
-# ---------------------------------------------------------------------------
-
-_LOG2_10 = log(10, 2)
-
-
-def _digits(m: int, e: int, dps: int) -> tuple[str, int]:
-    """Digit string and decimal exponent of m 2^e > 0, truncated, as
-    mpmath's ``to_digits_exp``: a binary fixed point of about dps digits
-    plus 10 bits, then converted to decimal.  Past 2^3500, where mpmath
-    divides by a power of ten in floating point, the leading digits are
-    taken exactly."""
-    bc = m.bit_length()
-    bitprec = int(dps * _LOG2_10) + 10
-    fixprec = max(bitprec - e - bc, 0)
-    fixdps = int(fixprec / _LOG2_10 + 0.5)
-    offset = e + fixprec
-    fixed = m << offset if offset >= 0 else m >> -offset
-    skipped = 0
-    if bc + e > 3500:
-        skipped = max(0, int((bc + e - bitprec) / _LOG2_10) - 2)
-        fixed //= 10**skipped
-    digits = str(fixed * 10**fixdps >> fixprec)
-    return digits, len(digits) - fixdps - 1 + skipped
-
-
-def _to_str(m: int, e: int, dps: int, strip_zeros: bool = True) -> str:
-    """m 2^e with dps significant digits, as ``mpmath.nstr``."""
-    if not m:
-        return "0.0"
-    sign = "-" if m < 0 else ""
-    digits, exponent = _digits(abs(m), e, dps + 3)
-    if len(digits) > dps and digits[dps] in "56789":
-        digits = digits[:dps]
-        i = dps - 1
-        while i >= 0 and digits[i] == "9":
-            i -= 1
-        if i >= 0:
-            digits = digits[:i] + str(int(digits[i]) + 1) + "0" * (dps - i - 1)
-        else:
-            digits = "1" + "0" * (dps - 1)
-            exponent += 1
-    else:
-        digits = digits[:dps]
-    if min(-(dps // 3), -5) < exponent < dps:
-        if exponent < 0:
-            digits = "0" * -exponent + digits
-            split = 1
-        else:
-            split = exponent + 1
-            if split > dps:
-                digits += "0" * (split - dps)
-        exponent = 0
-    else:
-        split = 1
-    digits = digits[:split] + "." + digits[split:]
-    if strip_zeros:
-        digits = digits.rstrip("0")
-        if digits[-1] == ".":
-            digits += "0"
-    if exponent == 0:
-        return sign + digits
-    return "%s%se%s%d" % (sign, digits, "+" if exponent > 0 else "", exponent)
+def _decimal(m: int, e: int, digits: int, up: bool) -> str:
+    """m 2^e rounded to ``digits`` significant decimal digits, up (ceiling)
+    or down (floor); an exact value keeps its shortest form (1/2 is 0.5),
+    and an exponent is written in lower case (1.25e+40, 1e-7)."""
+    ctx = Context(prec=digits, rounding=ROUND_CEILING if up else ROUND_FLOOR,
+                  capitals=0)
+    value = ctx.divide(m << e, 1) if e >= 0 else ctx.divide(m, 1 << -e)
+    return ctx.to_sci_string(value)
 
 
 # Operator kernels on two IntervalReals a and b: they meet at the larger
@@ -375,16 +322,6 @@ class IntervalReal:
     """Enclosure [lo, hi] produced at ``prec`` bits of working precision."""
 
     __slots__ = ("_lm", "_le", "_hm", "_he", "_prec")
-
-    def __init__(self, lo, hi, prec: int) -> None:
-        """[lo, hi] for ints, Fractions or floats, lo rounded down and hi
-        rounded up to ``prec`` bits."""
-        _check_prec(prec)
-        self._lm, self._le = _rational(lo, prec)[:2]
-        self._hm, self._he = _rational(hi, prec)[2:]
-        self._prec = prec
-        if _less(self._hm, self._he, self._lm, self._le):
-            raise ValueError("interval endpoints out of order: %s > %s" % (lo, hi))
 
     # -- inspection ---------------------------------------------------------
 
@@ -513,17 +450,18 @@ class IntervalReal:
 
     def __repr__(self) -> str:
         return "IntervalReal([%s, %s] @%d)" % (
-            _to_str(self._lm, self._le, 20),
-            _to_str(self._hm, self._he, 20),
+            _decimal(self._lm, self._le, 20, False),
+            _decimal(self._hm, self._he, 20, True),
             self._prec,
         )
 
     def dumps(self, digits: int = 30) -> str:
         """Decimal serialization with an explicit precision tag; each end
-        is mpmath's ``nstr(end, digits, strip_zeros=False)``."""
+        has ``digits`` significant digits, the lower end rounded down and
+        the upper end up, so the printed pair contains the enclosure."""
         return "[%s,%s]@%d" % (
-            _to_str(self._lm, self._le, digits, strip_zeros=False),
-            _to_str(self._hm, self._he, digits, strip_zeros=False),
+            _decimal(self._lm, self._le, digits, False),
+            _decimal(self._hm, self._he, digits, True),
             self._prec,
         )
 
@@ -569,9 +507,6 @@ def to_interval(x, prec: int = DEFAULT_PREC) -> IntervalReal:
 # Constants
 # ---------------------------------------------------------------------------
 
-_PI_FIXED = [0, 0, 0]  # [w, P, E]: |pi 2^w - P| <= E, the largest w so far
-
-
 def _acot_fixed(n: int, w: int) -> tuple[int, int]:
     """(A, E) with |atan(1/n) 2^w - A| <= E.
 
@@ -592,17 +527,10 @@ def _acot_fixed(n: int, w: int) -> tuple[int, int]:
 
 def _pi_fixed(w: int) -> tuple[int, int]:
     """(P, E) with |pi 2^w - P| <= E, by Machin's formula
-    pi = 16 atan(1/5) - 4 atan(1/239); the largest w is kept, and a
-    smaller w is a shift of it."""
-    if w > _PI_FIXED[0]:
-        a, ea = _acot_fixed(5, w)
-        b, eb = _acot_fixed(239, w)
-        _PI_FIXED[:] = w, 16 * a - 4 * b, 16 * ea + 4 * eb
-    have, fixed, err = _PI_FIXED
-    if have == w:
-        return fixed, err
-    # P >> d errs by less than E / 2^d + 1 <= (E >> d) + 2
-    return fixed >> (have - w), (err >> (have - w)) + 2
+    pi = 16 atan(1/5) - 4 atan(1/239)."""
+    a, ea = _acot_fixed(5, w)
+    b, eb = _acot_fixed(239, w)
+    return 16 * a - 4 * b, 16 * ea + 4 * eb
 
 
 @functools.lru_cache(maxsize=64)

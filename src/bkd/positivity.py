@@ -122,11 +122,6 @@ class PolyQ(FrozenRecord):
     def uses_pi(self) -> bool:
         return any(p != 0 for c in self.coeffs for p, _ in c)
 
-    def substitute_pi(self, rho: Rational) -> list[Fraction]:
-        """Plain rational coefficient list with pi replaced by ``rho``."""
-        rho = Fraction(rho)
-        return [sum((r * rho**p for p, r in c), Fraction(0)) for c in self.coeffs]
-
     def __neg__(self) -> "PolyQ":
         return PolyQ.make([[(p, -r) for p, r in c] for c in self.coeffs])
 

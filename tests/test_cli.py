@@ -271,6 +271,29 @@ class TestVerify:
                                 rb.lambda_lo.dumps(), rb.lambda_hi.dumps()]
             assert row[8] == "pass"
 
+    @pytest.mark.parametrize("check,first,last", [("sandwich", 3512, 3515),
+                                                  ("theta-bounds", 15081, 15083)])
+    def test_csv_enclosures_contain_the_recomputed_ones(self, capsys, check, first, last):
+        from fractions import Fraction
+
+        from bkd import asymptotic
+
+        code, out, _ = run(capsys, "verify", check, "--k", "1", "--from", str(first),
+                           "--to", str(last), "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [int(row[0]) for row in rows] == list(range(first, last + 1))
+        for row in rows:
+            n = int(row[0])
+            rb = asymptotic.ratio_bounds(1, n, 384)
+            enclosures = (rb.theta_lo, rb.theta_hi, rb.lambda_lo, rb.lambda_hi,
+                          *asymptotic.tail_factors(1, n, 384))
+            for cell, iv in zip(row[2:8], enclosures):
+                body, tag = cell.split("@")
+                lo, hi = (Fraction(end) for end in body.strip("[]").split(","))
+                assert tag == "384"
+                assert lo <= iv.lo_fraction() and iv.hi_fraction() <= hi, (n, cell)
+
     @pytest.mark.parametrize("argv,margins", [
         (["dlog", "--r", "3"], [1, -1, 1, 1, 1]),
         (["jensen", "--d", "4"], [-1] * 5),
@@ -799,3 +822,32 @@ class TestUsage:
         code, out, err = run(capsys, *argv, "--format", "csv")
         assert code == 3 and out == ""
         assert err.startswith("usage error: verify %s has no CSV output" % argv[1])
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("verify", "bessel", "--k", "3", "--from", "5", "--to", "9", "--r", "2",
+          "--z-grid", "1484:1484:1"), "--k"),
+        (("verify", "bessel", "--z-grid", "1484:1600:2", "--margins"), "--margins"),
+        (("verify", "logconcave", "--k", "1", "--to", "5", "--prec", "64",
+          "--z-grid", "1:2:3"), "--prec"),
+        (("verify", "logconcave", "--k", "1", "--to", "5", "--z-grid", "1:2:3"), "--z-grid"),
+        (("verify", "turan3", "--k", "1", "--to", "5", "--r", "3"), "--r"),
+        (("verify", "dlog", "--k", "1", "--r", "3", "--to", "5", "--d", "2"), "--d"),
+        (("verify", "sandwich", "--k", "1", "--from", "3512", "--to", "3513",
+          "--margins"), "--margins"),
+        (("verify", "phi-psi", "--k", "2", "--from", "7", "--to", "9", "--d", "3"), "--k"),
+        (("verify", "phi-psi", "--from", "7"), "--from"),
+        (("verify", "phi-psi", "--to", "9"), "--to"),
+    ])
+    def test_options_the_check_does_not_read(self, capsys, monkeypatch, argv, flag):
+        # refused before any work: no table, Bessel sum or certificate
+        from bkd import asymptotic
+
+        def no_work(*args):
+            raise RuntimeError("work started before the usage check")
+
+        monkeypatch.setattr(cli, "load_table", no_work)
+        monkeypatch.setattr(asymptotic, "bessel_remainder_margin", no_work)
+        monkeypatch.setattr(positivity, "certify_positive_on_ray", no_work)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == "usage error: verify %s does not take %s\n" % (argv[1], flag)

@@ -1,4 +1,6 @@
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
@@ -41,12 +43,12 @@ class TestConstruction:
 
     def test_disordered_rejected(self):
         with pytest.raises(ValueError):
-            IntervalReal(lo=2, hi=1, prec=64)
+            to_interval((2, 1), 64)
         with pytest.raises(ValueError):
             from_dyadic(1, 1, 1, 0, 64)
 
     def test_endpoints_are_odd_dyadics(self):
-        x = IntervalReal(lo=Fraction(3, 8), hi=12, prec=64)
+        x = to_interval((Fraction(3, 8), 12), 64)
         assert x.dyadic_ends == (3, -3, 3, 2)
         assert to_interval(0, 64).dyadic_ends == (0, 0, 0, 0)
 
@@ -111,7 +113,7 @@ class TestArithmetic:
     def test_far_apart_summands(self):
         # 1 + 2^-100000 rounds to the neighbours of 1 without a
         # 100000-bit intermediate
-        tiny = IntervalReal(Fraction(1, 2**100000), Fraction(1, 2**100000), 64)
+        tiny = to_interval(Fraction(1, 2**100000), 64)
         s = 1 + tiny
         assert s.lo == 1 and s.hi == 1 + Fraction(1, 2**63)
         d = 1 - tiny
@@ -194,6 +196,11 @@ class TestSerialization:
         assert s.endswith("@128")
         assert s.startswith("[0.33")
 
+    def test_dumps_keeps_exact_ends_short(self):
+        assert to_interval(Fraction(1, 2), 64).dumps() == "[0.5,0.5]@64"
+        assert to_interval(0, 64).dumps(5) == "[0,0]@64"
+        assert to_interval(-2**70, 64).dumps(5) == "[-1.1806e+21,-1.1805e+21]@64"
+
 
 # ---------------------------------------------------------------------------
 # Differential tests: the kernel against mpmath's interval context
@@ -217,11 +224,17 @@ def _operand_pair(rng: random.Random, prec: int):
     if rng.random() < 0.5:
         a, b = abs(a), abs(b)
     a, b = min(a, b), max(a, b)
-    return IntervalReal(a, b, prec), iv_rational(iv_context(prec), a, b)
+    return to_interval((a, b), prec), iv_rational(iv_context(prec), a, b)
 
 
 def _ends(x: IntervalReal):
     return x.lo_fraction(), x.hi_fraction()
+
+
+def _last_digit_unit(text: str, digits: int) -> Fraction:
+    """One unit in the last of ``digits`` significant digits of the
+    printed decimal ``text``."""
+    return Fraction(10) ** (Decimal(text).adjusted() - digits + 1)
 
 
 def _mp_number(ctx, c):
@@ -341,16 +354,25 @@ class TestAgainstMpmath:
 
     @pytest.mark.parametrize("prec", PRECS)
     def test_dumps_and_repr(self, prec):
+        # each printed end lies on the outer side of its end, less than one
+        # unit in its last digit away, and within one unit of mpmath's nstr
         rng = random.Random("dumps:%d" % prec)
         for _ in range(150):
             x, mx = _operand_pair(rng, prec)
-            lo, hi = (mp.make_mpf(end) for end in mx._mpi_)
+            ends = [mp.make_mpf(end) for end in mx._mpi_]
+            assert [mpf_fraction(end) for end in ends] == list(_ends(x))
             digits = rng.choice([5, 10, 20, 30, 40])
-            assert x.dumps(digits) == "[%s,%s]@%d" % (
-                mp.nstr(lo, digits, strip_zeros=False),
-                mp.nstr(hi, digits, strip_zeros=False), prec)
-            assert repr(x) == "IntervalReal([%s, %s] @%d)" % (
-                mp.nstr(lo, 20), mp.nstr(hi, 20), prec)
+            body, tag = x.dumps(digits).split("@")
+            shown = re.fullmatch(r"IntervalReal\(\[(.*), (.*)\] @(\d+)\)", repr(x))
+            assert tag == shown[3] == str(prec)
+            for texts, n, strip in ((body[1:-1].split(","), digits, False),
+                                    (shown.groups()[:2], 20, True)):
+                for text, end, exact, up in zip(texts, ends, _ends(x), (False, True)):
+                    printed = Fraction(text)
+                    unit = _last_digit_unit(text, n)
+                    assert 0 <= (printed - exact if up else exact - printed) < unit
+                    reference = Fraction(mp.nstr(end, n, strip_zeros=strip))
+                    assert abs(printed - reference) <= unit
 
     @settings(max_examples=200, deadline=None)
     @given(
