@@ -442,7 +442,8 @@ def _cmd_verify(args) -> int:
         verify = partial(_verify_range, check=check)
     for flag in ("k", "from", "to", "r", "d", "prec", "z-grid", "margins"):
         dest = "from_n" if flag == "from" else flag.replace("-", "_")
-        if getattr(args, dest) not in (None, False) and dest not in reads:
+        value = getattr(args, dest)  # "is", not "in": --k 0 == False is given
+        if value is not None and value is not False and dest not in reads:
             raise UsageError("verify %s does not take --%s" % (args.check, flag))
     return verify(args)
 

@@ -826,6 +826,7 @@ class TestUsage:
     @pytest.mark.parametrize("argv,flag", [
         (("verify", "bessel", "--k", "3", "--from", "5", "--to", "9", "--r", "2",
           "--z-grid", "1484:1484:1"), "--k"),
+        (("verify", "bessel", "--k", "0", "--z-grid", "1484:1484:1"), "--k"),
         (("verify", "bessel", "--z-grid", "1484:1600:2", "--margins"), "--margins"),
         (("verify", "logconcave", "--k", "1", "--to", "5", "--prec", "64",
           "--z-grid", "1:2:3"), "--prec"),
