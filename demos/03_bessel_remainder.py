@@ -33,7 +33,8 @@ z = 25
 left = bessel_i(1, z, 128) - bessel_i(3, z, 128)
 right = to_interval(4, 128) / z * bessel_i(2, z, 128)
 print("recurrence I1 - I3 vs (4/z) I2 overlap at z=25:",
-      left.lo <= right.hi and right.lo <= left.hi)
+      left.lo_fraction() <= right.hi_fraction()
+      and right.lo_fraction() <= left.hi_fraction())
 
 # the five-term main part and the measured remainder constant
 for zv in (1484, 2000, 5000, 10000):
@@ -41,7 +42,7 @@ for zv in (1484, 2000, 5000, 10000):
     err = abs(scaled_i2(to_interval(zv, p), p) - i2_scaled_main(to_interval(zv, p)))
     margin = bessel_remainder_margin(zv)
     print("z=%-6d prec=%-6d |err|*z^6 ~ %.4f   margin 73/z^6 - |err| > 0: %s"
-          % (zv, p, float(err * to_interval(zv, p) ** 6), margin.lo > 0))
+          % (zv, p, float(err * to_interval(zv, p) ** 6), margin.lo_fraction() > 0))
 
 # the general integer-order bound, specialized at nu = 2, implies the
 # 73/z^6 claim with lots of slack

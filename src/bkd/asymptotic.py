@@ -209,9 +209,9 @@ def bessel_i(nu: int, z, prec: int = DEFAULT_PREC) -> IntervalReal:
 
         I_nu(z) = sum_m (z/2)^(2m + nu) / (m! (m + nu)!).
 
-    Every term is positive and increasing in z, so a lower bound at z.lo
-    and an upper bound at z.hi enclose I_nu over all of z; a point z takes
-    one pass of the series, an enclosure one at each end.
+    Every term is positive and increasing in z, so a lower bound at z's low
+    end and an upper bound at its high end enclose I_nu over all of z; a
+    point z takes one pass of the series, an enclosure one at each end.
 
     A pass runs in Python integers, with w = prec + guard bits, guard
     being log2 of the term count plus 6.  A term is a mantissa T of
@@ -243,7 +243,7 @@ def bessel_i(nu: int, z, prec: int = DEFAULT_PREC) -> IntervalReal:
     lo_man, lo_exp, hi_man, hi_exp = z_iv.dyadic_ends
     if lo_man < 0:
         raise ValueError("bessel_i requires z >= 0")
-    terms = int(float(z_iv.hi)) + prec + nu + 16
+    terms = int(float(z_iv.hi_fraction())) + prec + nu + 16
     w = prec + terms.bit_length() + 6
     s_lo, s_hi, f = _series_bounds(nu, lo_man, lo_exp, w, 8 * terms)
     f_hi = f
@@ -259,7 +259,7 @@ def i2_scaled_main(z, prec: Optional[int] = None) -> IntervalReal:
           + 10395/(32768 z^4) + 135135/(262144 z^5).
     """
     z_iv = to_interval(z, prec or DEFAULT_PREC)
-    if z_iv.lo <= 0:
+    if z_iv.lo_fraction() <= 0:
         raise ValueError("main part needs z > 0")
     p = prec or z_iv.prec
     u = 1 / z_iv.at(p)
@@ -291,7 +291,7 @@ def auto_prec(z) -> int:
     under 2^-(prec + 4) relative, and rounds each bound to prec bits once.
     At z = 10^4 this is 144 bits.
     """
-    z_hi = float(to_interval(z, 64).hi)
+    z_hi = float(to_interval(z, 64).hi_fraction())
     return int(ceil(6 * log2(z_hi))) + 64
 
 
@@ -305,7 +305,7 @@ def remainder_precisions(z, prec: Optional[int] = None) -> list[int]:
     """
     if prec is not None:
         return [prec]
-    cap = int(ceil(1.45 * float(to_interval(z, 64).hi))) + 64
+    cap = int(ceil(1.45 * float(to_interval(z, 64).hi_fraction()))) + 64
     schedule = [min(auto_prec(z), cap)]
     while schedule[-1] < cap:
         schedule.append(min(2 * schedule[-1], cap))
@@ -323,7 +323,7 @@ def bessel_remainder_margin(z, prec: Optional[int] = None) -> IntervalReal:
     """Margin 73/z^6 - |I_2(z) e^{-z} sqrt(2 pi z) - main part|.
 
     The remainder claim holds at z iff the returned enclosure is
-    provably positive (margin.lo > 0).  Requires z >= (15/2)^6 / 120.
+    provably positive (its low end > 0).  Requires z >= (15/2)^6 / 120.
     The precisions tried are those of :func:`remainder_precisions`; the
     first margin that does not straddle 0, or the last one, is returned,
     and its ``prec`` says which attempt that was.
@@ -352,9 +352,9 @@ def bessel_remainder_margin(z, prec: Optional[int] = None) -> IntervalReal:
 def margin_outcome(margin: IntervalReal) -> CheckOutcome:
     """PASS when the margin is provably positive, FAIL when provably
     negative, INCONCLUSIVE when its enclosure straddles 0."""
-    if margin.lo > 0:
+    if margin.lo_fraction() > 0:
         return CheckOutcome.PASS
-    if margin.hi < 0:
+    if margin.hi_fraction() < 0:
         return CheckOutcome.FAIL
     return CheckOutcome.INCONCLUSIVE
 
@@ -603,7 +603,7 @@ def tail_factors(
     x = x_param(k, n, prec)
     shift = 2 * pi_interval(prec)**2 / 3
     low_sq = x**2 - shift
-    if low_sq.lo <= 0:
+    if low_sq.lo_fraction() <= 0:
         raise ValueError("x(n-1)^2 enclosure not positive; n too small")
     xm6 = low_sq.sqrt() ** (-6)
     xp6 = (x**2 + shift).sqrt() ** (-6)

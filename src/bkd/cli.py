@@ -7,13 +7,13 @@
     bkd verify sandwich --k 1 --from 3512 --to 4000 --prec 384
     bkd scan conjecture --k 1 --r 3 --to 5000
 
-Each range check of `verify` is a row of the table CHECKS, run by the one
-loop inequalities.scan_check.  Every `verify` report has the same keys;
-`pass` means no failure and no inconclusive point (points below a claim's
-validity range are skipped).  With --format csv, sandwich and theta-bounds
-print their enclosures per n, and exact checks, which need --margins for
-it, the n,margin integers they compared; bessel, phi-psi and `scan` have
-no CSV.
+Each check of `verify` is a row of the table CHECKS, which names the
+options it reads; the one loop report.VerificationReport.run files and
+times every report.  Every report has the same keys; `pass` means no
+failure and no inconclusive point (points below a claim's validity range
+are skipped).  With --format csv, sandwich and theta-bounds print their
+enclosures per n, and exact checks, which need --margins for it, the
+n,margin integers they compared; bessel, phi-psi and `scan` have no CSV.
 
 --prec sets the bits of the interval checks.  Its default, `auto`, means
 for bessel the schedule of asymptotic.remainder_precisions: at each z,
@@ -23,7 +23,8 @@ interval layer's default, and for phi-psi 256 bits, the precision of
 every coefficient enclosure of the two certificates.
 
 An option that the chosen check does not read (--k, --from or --to for
-bessel and phi-psi, say, or --prec for an exact check) is a usage error.
+bessel and phi-psi, say, --prec for an exact check, or --margins without
+--format csv) is a usage error.
 
 Exit codes: 0 all checks pass, 1 mathematical counterexample found,
 2 precision-inconclusive outcome, 3 usage error, 4 internal error (the
@@ -51,7 +52,6 @@ import math
 import os
 import sys
 import tempfile
-import time
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -226,31 +226,6 @@ def _theta_bounds(table, prec: int, rows: Optional[list], n: int) -> CheckOutcom
     return outcome
 
 
-class Check(NamedTuple):
-    """A range check of ``bkd verify``.  ``evaluate`` takes the table, the
-    option's value or an interval check's (prec, CSV rows), and n last."""
-
-    report: str                # report name; {} takes the option's value
-    option: Optional[str]      # "r" or "d" when the check requires it
-    lookahead: Optional[int]   # table entries needed past n; None: the option's value
-    evaluate: Callable[..., Union[int, CheckOutcome]]
-    interval: bool = False     # k in {1, 2}, --from >= 2, --prec, the ratio CSV
-    notes: Optional[str] = None
-
-
-CHECKS = {
-    "logconcave": Check("logconcave", None, 1, inequalities.logconcave_margin),
-    "turan3": Check("turan3", None, 2, inequalities.turan3_margin),
-    "theta-mono": Check("theta-mono", None, 2, inequalities.theta_monotone_margin),
-    "dlog": Check("dlog-r{}", "r", None, inequalities.dlog_margin,
-                  notes="sign convention: (-1)^(r-1) D^r log delta > 0"),
-    "jensen": Check("jensen-d{}", "d", None, inequalities.jensen_margin),
-    "sandwich": Check("sandwich", None, 1, _sandwich, interval=True),
-    "theta-bounds": Check("theta-bounds", None, 1, _theta_bounds, interval=True),
-}
-ALL_CHECKS = tuple(CHECKS) + ("bessel", "phi-psi")
-
-
 DLOG_MAX_BITS = 1 << 22  # the exact products of one D^r log sign; 512 KiB each
 
 
@@ -264,8 +239,8 @@ def _check_dlog_order(r: int, top: int) -> None:
                          "%d bits" % (r, DLOG_MAX_BITS))
 
 
-def _verify_range(args, check: Check) -> int:
-    """Run a check of the table on [--from, --to] and print its report."""
+def _verify_range(args, check: Check) -> tuple:
+    """Run a check of the table on [--from, --to]."""
     if args.k is None:
         raise UsageError("--k is required for this check")
     if args.to is None:
@@ -296,7 +271,7 @@ def _verify_range(args, check: Check) -> int:
     report.notes = check.notes
     if rows is not None:
         ratio_csv = _ratio_csv_rows(args.k, table, prec, rows)
-    return _finish_report(args, report, extra, ratio_csv)
+    return report, extra, ratio_csv
 
 
 def _ratio_csv_rows(k: int, table, prec: int, rows) -> str:
@@ -354,61 +329,94 @@ def _parse_z_grid(spec: str) -> list[float]:
     return [lo * ratio**i for i in range(count - 1)] + [hi]  # ends at HI exactly
 
 
-def _verify_bessel(args) -> int:
+def _remainder(grid: list, prec: Optional[int], margins: list, i: int) -> CheckOutcome:
+    """The 73/z^6 remainder bound at grid point i; its margin goes to ``margins``."""
     from . import asymptotic
 
-    grid = _parse_z_grid(args.z_grid or "1484:10000:50")
-    prec = _parse_prec(args.prec)
-    t0 = time.perf_counter()
-    report = VerificationReport(
-        check_name="bessel",
-        k=0,
-        from_n=int(grid[0]),
-        to_n=int(grid[-1]),
-        notes="z-grid %s (failures/inconclusive hold grid indices)"
-        % (args.z_grid or "1484:10000:50"),
-    )
-    precs, raises = [], []
-    for i, z in enumerate(grid):
-        margin = asymptotic.bessel_remainder_margin(z, prec)
-        report.add(i, asymptotic.margin_outcome(margin))
-        precs.append(margin.prec)
-        raises.append(asymptotic.remainder_precisions(z, prec).index(margin.prec))
-    report.runtime_ms = int((time.perf_counter() - t0) * 1000)
-    extra = {"grid": ["%.6f" % z for z in grid], "prec": precs, "raises": raises}
-    return _finish_report(args, report, extra)
+    margin = asymptotic.bessel_remainder_margin(grid[i], prec)
+    margins.append(margin)
+    return asymptotic.margin_outcome(margin)
 
 
-def _verify_phi_psi(args) -> int:
+def _verify_bessel(args, check: Check) -> tuple:
+    """The remainder bound on the --z-grid points; they are the report's grid indices."""
+    from . import asymptotic
+
+    spec = args.z_grid or "1484:10000:50"
+    grid, prec, margins = _parse_z_grid(spec), _parse_prec(args.prec), []
+    report = VerificationReport(check.report, 0, int(grid[0]), int(grid[-1]),
+                                notes=check.notes.format(spec))
+    report.run(range(len(grid)), partial(_remainder, grid, prec, margins))
+    precs = [margin.prec for margin in margins]
+    raises = [asymptotic.remainder_precisions(z, prec).index(p) for z, p in zip(grid, precs)]
+    return report, {"grid": ["%.6f" % z for z in grid], "prec": precs, "raises": raises}, None
+
+
+def _certificate(claims: list, prec: int, certs: dict, i: int) -> CheckOutcome:
+    """Certify claim i, (name, p, x0): p >= 0 on [x0, oo), into ``certs``."""
+    from . import positivity
+
+    name, poly, threshold = claims[i]
+    try:
+        result = positivity.certify_positive_on_ray(poly, threshold, prec)
+    except positivity.Inconclusive:
+        return CheckOutcome.INCONCLUSIVE
+    if isinstance(result, positivity.RayRefutation):
+        return CheckOutcome.FAIL
+    if not result.recheck():
+        raise AssertionError("the %s certificate fails its recheck" % name)
+    certs[name] = result.to_json_obj()
+    return CheckOutcome.PASS
+
+
+def _verify_phi_psi(args, check: Check) -> tuple:
+    """The two certificates of the phi/psi tails; they are the report's points 0 and 1."""
     from fractions import Fraction
 
     from . import positivity
 
     prec = _parse_prec(args.prec) or positivity.DEFAULT_PREC
-    t0 = time.perf_counter()
-    psi = positivity.psi_poly()
-    report = VerificationReport(
-        check_name="phi-psi", k=0, from_n=0, to_n=1,
-        notes="certificate indices: 0 psi>=0 on [6, oo), 1 phi-psi>=0 on [33/10, oo)",
-    )
-    certs = {}
-    for i, (name, poly, threshold) in enumerate((
-        ("psi>=0", psi, Fraction(6)),
-        ("phi-psi>=0", positivity.phi_poly() - psi, Fraction(33, 10)),
-    )):
-        try:
-            result = positivity.certify_positive_on_ray(poly, threshold, prec)
-        except positivity.Inconclusive:
-            report.add(i, CheckOutcome.INCONCLUSIVE)
-            continue
-        if isinstance(result, positivity.RayRefutation):
-            report.add(i, CheckOutcome.FAIL)
-        elif result.recheck():
-            certs[name] = result.to_json_obj()
-        else:
-            raise AssertionError("the %s certificate fails its recheck" % name)
-    report.runtime_ms = int((time.perf_counter() - t0) * 1000)
-    return _finish_report(args, report, {"certificates": certs})
+    psi, certs = positivity.psi_poly(), {}
+    claims = [("psi>=0", psi, Fraction(6)),
+              ("phi-psi>=0", positivity.phi_poly() - psi, Fraction(33, 10))]
+    report = VerificationReport(check.report, 0, 0, 1, notes=check.notes)
+    report.run(range(2), partial(_certificate, claims, prec, certs))
+    return report, {"certificates": certs}, None
+
+
+class Check(NamedTuple):
+    """A check of ``bkd verify``.  ``verify(args, check)`` runs it and
+    returns its report, the report's check-specific keys and its CSV text.
+    A range check's ``evaluate`` takes the table, the option's value or an
+    interval check's (prec, CSV rows), and n last."""
+
+    report: str                # report name; {} takes the option's value
+    reads: frozenset           # the options it reads, by argparse dest
+    evaluate: Optional[Callable[..., Union[int, CheckOutcome]]] = None
+    lookahead: Optional[int] = None  # table entries needed past n; None: the option's value
+    option: Optional[str] = None     # "r" or "d" when the check requires it
+    interval: bool = False     # k in {1, 2}, --from >= 2, --prec, the ratio CSV
+    notes: Optional[str] = None
+    verify: Callable[..., tuple] = _verify_range
+
+
+_EXACT = frozenset({"k", "from_n", "to", "margins"})  # --margins only with --format csv
+_INTERVAL = frozenset({"k", "from_n", "to", "prec"})
+
+CHECKS = {
+    "logconcave": Check("logconcave", _EXACT, inequalities.logconcave_margin, 1),
+    "turan3": Check("turan3", _EXACT, inequalities.turan3_margin, 2),
+    "theta-mono": Check("theta-mono", _EXACT, inequalities.theta_monotone_margin, 2),
+    "dlog": Check("dlog-r{}", _EXACT | {"r"}, inequalities.dlog_margin, option="r",
+                  notes="sign convention: (-1)^(r-1) D^r log delta > 0"),
+    "jensen": Check("jensen-d{}", _EXACT | {"d"}, inequalities.jensen_margin, option="d"),
+    "sandwich": Check("sandwich", _INTERVAL, _sandwich, 1, interval=True),
+    "theta-bounds": Check("theta-bounds", _INTERVAL, _theta_bounds, 1, interval=True),
+    "bessel": Check("bessel", frozenset({"z_grid", "prec"}), verify=_verify_bessel,
+                    notes="z-grid {} (failures/inconclusive hold grid indices)"),
+    "phi-psi": Check("phi-psi", frozenset({"prec"}), verify=_verify_phi_psi, notes="certificate "
+                     "indices: 0 psi>=0 on [6, oo), 1 phi-psi>=0 on [33/10, oo)"),
+}
 
 
 def _finish_report(args, report: VerificationReport, extra: Optional[dict] = None,
@@ -425,27 +433,22 @@ def _finish_report(args, report: VerificationReport, extra: Optional[dict] = Non
 
 
 def _cmd_verify(args) -> int:
-    if args.check not in ALL_CHECKS:
-        raise UsageError(
-            "unknown check %r (choose from %s)" % (args.check, ", ".join(ALL_CHECKS))
-        )
     check = CHECKS.get(args.check)
-    if args.format == "csv" and not (check and (check.interval or args.margins)):
+    if check is None:
+        raise UsageError(
+            "unknown check %r (choose from %s)" % (args.check, ", ".join(CHECKS))
+        )
+    exact = "margins" in check.reads  # CSV of the exact margins, given --margins
+    if args.format == "csv" and not (check.interval or exact and args.margins):
         raise UsageError("verify %s has no CSV output%s"
-                         % (args.check, " without --margins" if check else ""))
-    if args.check == "bessel":
-        reads, verify = {"z_grid", "prec"}, _verify_bessel
-    elif args.check == "phi-psi":
-        reads, verify = {"prec"}, _verify_phi_psi
-    else:  # an exact check reads --margins and its option, an interval check --prec
-        reads = {"k", "from_n", "to", "prec" if check.interval else "margins", check.option}
-        verify = partial(_verify_range, check=check)
+                         % (args.check, " without --margins" if exact else ""))
+    reads = check.reads if args.format == "csv" else check.reads - {"margins"}
     for flag in ("k", "from", "to", "r", "d", "prec", "z-grid", "margins"):
         dest = "from_n" if flag == "from" else flag.replace("-", "_")
         value = getattr(args, dest)  # "is", not "in": --k 0 == False is given
         if value is not None and value is not False and dest not in reads:
             raise UsageError("verify %s does not take --%s" % (args.check, flag))
-    return verify(args)
+    return _finish_report(args, *check.verify(args, check))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +463,6 @@ def _cmd_scan(args) -> int:
             raise UsageError("scan conjecture requires --%s" % flag)
     table = load_table(args.k, args.to + args.r)
     _check_dlog_order(args.r, table.coeffs[-1])
-    t0 = time.perf_counter()
     candidate, report = inequalities.conjecture_threshold(table, args.r, args.to)
     obj = {
         "check": "conjecture-scan",
@@ -469,7 +471,7 @@ def _cmd_scan(args) -> int:
         "to": args.to,
         "candidate": candidate,
         "violations": sorted(report.failures),
-        "elapsed_ms": int((time.perf_counter() - t0) * 1000),
+        "elapsed_ms": report.runtime_ms,
     }
     _emit(_report_text(obj, args.format), args.out)
     return EXIT_PASS if candidate is not None else EXIT_COUNTEREXAMPLE

@@ -16,7 +16,6 @@ and is pinned by a unit test on a four-term table.
 
 from __future__ import annotations
 
-import time
 from functools import partial
 from math import comb
 from typing import Callable, Optional, Union
@@ -142,28 +141,15 @@ def scan_check(
     to_n: int,
     collect_margins: bool = False,
 ) -> VerificationReport:
-    """The one range loop: evaluate margin_fn at each n in [from_n, to_n].
-
-    margin_fn returns an exact integer margin, a failure when <= 0 (kept
-    per n with ``collect_margins``), or a CheckOutcome, filed as it is.
+    """Evaluate margin_fn at each n in [from_n, to_n] by
+    :meth:`VerificationReport.run`: an exact integer margin, a failure
+    when <= 0 (kept per n with ``collect_margins``), or a CheckOutcome.
     """
     if from_n > to_n:
         raise ValueError("empty range: from %d to %d" % (from_n, to_n))
-    t0 = time.perf_counter()
     report = VerificationReport(check_name=check_name, k=table.k, from_n=from_n,
                                 to_n=to_n, margins={} if collect_margins else None)
-    failures, margins = report.failures, report.margins
-    for n in range(from_n, to_n + 1):
-        value = margin_fn(n)
-        if isinstance(value, CheckOutcome):
-            report.add(n, value)
-            continue
-        if collect_margins:
-            margins[n] = value
-        if value <= 0:
-            failures.append(n)
-    report.runtime_ms = int((time.perf_counter() - t0) * 1000)
-    return report
+    return report.run(range(from_n, to_n + 1), margin_fn)
 
 
 def _threshold(report: VerificationReport) -> Optional[int]:

@@ -329,14 +329,6 @@ class IntervalReal:
     def prec(self) -> int:
         return self._prec
 
-    @property
-    def lo(self) -> Fraction:
-        return _fraction(self._lm, self._le)
-
-    @property
-    def hi(self) -> Fraction:
-        return _fraction(self._hm, self._he)
-
     def lo_fraction(self) -> Fraction:
         return _fraction(self._lm, self._le)
 

@@ -443,7 +443,7 @@ def _shift_witness(coeffs: Sequence[IntervalReal], x0: Fraction,
     for i in range(len(shifted) - 1):
         for j in reversed(range(i, len(shifted) - 1)):
             shifted[j] = shifted[j] + x0_iv * shifted[j + 1]
-    lows = [c.lo for c in shifted]
+    lows = [c.lo_fraction() for c in shifted]
     if lows[0] <= 0 or min(lows) < 0:
         return None
     return {
@@ -566,8 +566,8 @@ def certify_positive_on_ray(p, x0: Rational, prec: int = DEFAULT_PREC):
         raise ValueError("zero polynomial")
     x0 = Fraction(x0)
     v0 = _value(coeffs, x0, prec)
-    if v0.hi < 0:
-        return RayRefutation(point=x0, value_hi=v0.hi)
+    if v0.hi_fraction() < 0:
+        return RayRefutation(point=x0, value_hi=v0.hi_fraction())
     if exact is not None and not sum(c * x0**i for i, c in enumerate(exact)):
         raise ValueError(
             "p(x0) = 0 exactly: strict positivity fails at the threshold itself"
@@ -577,9 +577,9 @@ def certify_positive_on_ray(p, x0: Rational, prec: int = DEFAULT_PREC):
         return PositivityCertificate("TAYLOR_SHIFT", x0, witness, p)
 
     lead = coeffs[-1]
-    if lead.hi < 0:  # eventually negative: walk out
+    if lead.hi_fraction() < 0:  # eventually negative: walk out
         points = [x0 + 2**e for e in range(512)]
-    elif lead.lo <= 0:
+    elif lead.lo_fraction() <= 0:
         raise Inconclusive("leading coefficient sign undecided; raise prec")
     elif exact is None:
         # the midpoints only choose where to look; a refutation is still
@@ -594,9 +594,9 @@ def certify_positive_on_ray(p, x0: Rational, prec: int = DEFAULT_PREC):
             )
     for x in points:
         v = _value(coeffs, x, prec)
-        if v.hi < 0:
-            return RayRefutation(point=x, value_hi=v.hi)
-    if exact is None or lead.hi < 0:
+        if v.hi_fraction() < 0:
+            return RayRefutation(point=x, value_hi=v.hi_fraction())
+    if exact is None or lead.hi_fraction() < 0:
         raise Inconclusive(
             "the shift test fails and no probe is provably negative over the "
             "whole coefficient enclosures; raise prec"

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import enum
 import io
-from typing import Optional
+import time
+from typing import Callable, Iterable, Optional, Union
 
 __all__ = ["Record", "FrozenRecord", "CheckOutcome", "VerificationReport"]
 
@@ -76,8 +77,9 @@ class CheckOutcome(enum.Enum):
 
 
 class VerificationReport(Record):
-    """Per-range record of a check: the n that failed, were inconclusive
-    or lay below the claim's validity range, exact margins, timing."""
+    """Per-range record of a check: the points that failed, were
+    inconclusive or lay below the claim's validity range, exact margins,
+    timing.  A point is an n, or an index for a check that scans no n."""
 
     __slots__ = ("check_name", "k", "from_n", "to_n", "failures", "inconclusive",
                  "skipped", "margins", "runtime_ms", "notes")
@@ -94,14 +96,28 @@ class VerificationReport(Record):
         self.skipped = [] if skipped is None else skipped
         self.margins, self.runtime_ms, self.notes = margins, runtime_ms, notes
 
-    def add(self, n: int, outcome: CheckOutcome) -> None:
-        """File the outcome at n; PASS needs no record."""
-        if outcome is CheckOutcome.FAIL:
-            self.failures.append(n)
-        elif outcome is CheckOutcome.INCONCLUSIVE:
-            self.inconclusive.append(n)
-        elif outcome is CheckOutcome.HYPOTHESIS_NOT_MET:
-            self.skipped.append(n)
+    def run(self, points: Iterable[int],
+            evaluate: Callable[[int], Union[int, CheckOutcome]]) -> VerificationReport:
+        """The one loop: evaluate each point, file its answer and set
+        ``runtime_ms``.  An exact integer margin is a failure when <= 0 and
+        is kept per point when ``margins`` is a dict; a CheckOutcome other
+        than PASS goes to the list it names."""
+        t0 = time.perf_counter()
+        failures, margins, ok = self.failures, self.margins, CheckOutcome.PASS
+        filed = {CheckOutcome.FAIL: failures, CheckOutcome.INCONCLUSIVE: self.inconclusive,
+                 CheckOutcome.HYPOTHESIS_NOT_MET: self.skipped}
+        for n in points:
+            value = evaluate(n)
+            if isinstance(value, CheckOutcome):
+                if value is not ok:
+                    filed[value].append(n)
+                continue
+            if margins is not None:
+                margins[n] = value
+            if value <= 0:
+                failures.append(n)
+        self.runtime_ms = int((time.perf_counter() - t0) * 1000)
+        return self
 
     @property
     def passed(self) -> bool:

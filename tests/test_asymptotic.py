@@ -100,12 +100,12 @@ class TestSizeParam:
         # pi * sqrt(20) / 6, computed independently at higher precision
         with mp.workprec(320):
             ref = mp.pi * mp.sqrt(20) / 6
-        assert x.lo < mpf_fraction(ref) < x.hi
+        assert x.lo_fraction() < mpf_fraction(ref) < x.hi_fraction()
         assert abs(float(x) - 2.3416049) < 1e-6
 
     def test_width_contract(self):
         x = x_param(1, 10**6, 192)
-        assert x.width <= Fraction(2) ** (4 - 192) * x.hi
+        assert x.width <= Fraction(2) ** (4 - 192) * x.hi_fraction()
 
     def test_main_validity_threshold(self):
         assert x_param(1, 3512).lo_fraction() >= 152
@@ -159,7 +159,8 @@ class TestBessel:
         p = 128
         left = bessel_i(1, z, p) - bessel_i(3, z, p)
         right = to_interval(4, p) / z * bessel_i(2, z, p)
-        assert left.lo <= right.hi and right.lo <= left.hi
+        assert left.lo_fraction() <= right.hi_fraction()
+        assert right.lo_fraction() <= left.hi_fraction()
 
     @pytest.mark.parametrize("nu,z", [(0, 3), (1, 10), (2, 7), (4, 25), (2, 100)])
     def test_against_library_reference(self, nu, z):
@@ -168,7 +169,7 @@ class TestBessel:
         enc = bessel_i(nu, z, 128)
         with mp.workprec(256):
             ref = mpf_fraction(mp.besseli(nu, z))
-        assert enc.lo <= ref <= enc.hi
+        assert enc.lo_fraction() <= ref <= enc.hi_fraction()
 
     @pytest.mark.parametrize("prec", KERNEL_PRECS)
     @pytest.mark.parametrize("nu", KERNEL_NUS)
@@ -177,13 +178,13 @@ class TestBessel:
         # (sized like the main-term arguments); mpmath's besseli of the
         # exact argument must lie inside
         x = x_param(1, 8180, prec)
-        assert x.lo < x.hi and 231 < float(x) < 233
+        assert x.lo_fraction() < x.hi_fraction() and 231 < float(x) < 233
         for z_enc, z_exact in (
             (10**4, 10**4),
             (x, lambda: mp.pi * mp.sqrt(24 * 8180 - 4) / 6),
         ):
             enc = bessel_i(nu, z_enc, prec)
-            assert enc.lo <= besseli_ref(nu, z_exact, prec) <= enc.hi
+            assert enc.lo_fraction() <= besseli_ref(nu, z_exact, prec) <= enc.hi_fraction()
             lo, hi = enc.lo_fraction(), enc.hi_fraction()
             assert hi - lo <= hi * Fraction(2) ** (24 - prec)
 
@@ -194,9 +195,10 @@ class TestBesselKernel:
     def test_dyadic_arguments_contained_and_tight(self, nu, prec):
         for z in DYADIC_Z:
             z_iv = to_interval(z, prec)
-            assert z_iv.lo == z_iv.hi, z
+            assert z_iv.lo_fraction() == z_iv.hi_fraction(), z
             enc = bessel_i(nu, z, prec)
-            assert enc.lo <= besseli_ref(nu, z_iv.lo, prec) <= enc.hi, z
+            ref = besseli_ref(nu, z_iv.lo_fraction(), prec)
+            assert enc.lo_fraction() <= ref <= enc.hi_fraction(), z
             lo, hi = enc.lo_fraction(), enc.hi_fraction()
             assert hi - lo <= hi * Fraction(2) ** (4 - prec), z
 
@@ -205,7 +207,7 @@ class TestBesselKernel:
     def test_wide_enclosure(self, nu, prec):
         enc = bessel_i(nu, (100, 101), prec)
         for z in (100, 101):
-            assert enc.lo <= besseli_ref(nu, z, prec) <= enc.hi
+            assert enc.lo_fraction() <= besseli_ref(nu, z, prec) <= enc.hi_fraction()
 
     @pytest.mark.parametrize("prec", [64, 384])
     @pytest.mark.parametrize("nu", [0, 2, 5])
@@ -314,7 +316,7 @@ class TestBesselKernel:
     )
     def test_contains_library_value(self, nu, z, prec):
         enc = bessel_i(nu, z, prec)
-        assert enc.lo <= besseli_ref(nu, mp.mpf(z), prec) <= enc.hi
+        assert enc.lo_fraction() <= besseli_ref(nu, mp.mpf(z), prec) <= enc.hi_fraction()
 
 
 class TestScaledMain:
@@ -336,10 +338,10 @@ class TestScaledMain:
 
 class TestRemainder:
     def test_margin_positive_at_threshold(self):
-        assert bessel_remainder_margin(1484).lo > 0
+        assert bessel_remainder_margin(1484).lo_fraction() > 0
 
     def test_margin_positive_at_5000(self):
-        assert bessel_remainder_margin(5000).lo > 0
+        assert bessel_remainder_margin(5000).lo_fraction() > 0
 
     def test_measured_constant_at_2000(self):
         # |I2 e^-z sqrt(2 pi z) - main| * z^6 measured: about 1.129,
@@ -401,7 +403,7 @@ class TestRemainder:
         assert margin_outcome(bessel_remainder_margin(z, 64)) is CheckOutcome.INCONCLUSIVE
         monkeypatch.setattr(bkd.asymptotic, "auto_prec", lambda z: 64)
         margin = bessel_remainder_margin(z)
-        assert margin.lo > 0
+        assert margin.lo_fraction() > 0
         assert 64 < margin.prec <= cap
 
     @settings(max_examples=25, deadline=None)
@@ -421,7 +423,7 @@ class TestGeneralRemainder:
         z = 1484
         bound = general_remainder_bound(2, z, 256)
         assert bound.hi_fraction() < Fraction(73, z**6) * (1 + Fraction(1, 10**6))
-        assert bound.lo > 0
+        assert bound.lo_fraction() > 0
 
     def test_product_term_constant(self):
         # third term times z^6 times 2^(3/2) is exactly 4729725/65536
@@ -434,7 +436,7 @@ class TestGeneralRemainder:
         z_min = general_remainder_hypothesis_min(3)
         assert z_min == Fraction(17**6, 7680)
         bound = general_remainder_bound(3, Fraction(17**6, 7680) + 1, 256)
-        assert bound.lo > 0
+        assert bound.lo_fraction() > 0
 
     def test_hypothesis_violations(self):
         with pytest.raises(ValueError):
@@ -447,7 +449,7 @@ class TestMainTerm:
     def test_total_below_validity(self):
         # formula evaluates fine even where no claim is asserted
         v = main_term(1, 10, 128)
-        assert v.lo > 0
+        assert v.lo_fraction() > 0
 
     def test_sandwich_at_validity_start(self):
         t = delta_table(1, 3513)
@@ -475,7 +477,8 @@ class TestRatioBounds:
     def test_lambda_exact_sane(self):
         lam = lambda_exact(1, 2, 256)
         rb = ratio_bounds(1, 2, 256)
-        assert rb.lambda_lo.hi < lam.lo and lam.hi < rb.lambda_hi.lo
+        assert rb.lambda_lo.hi_fraction() < lam.lo_fraction()
+        assert lam.hi_fraction() < rb.lambda_hi.lo_fraction()
 
     def test_theta_gate(self, table1):
         assert theta_bounds_check(1, 5000, table1) is CheckOutcome.HYPOTHESIS_NOT_MET
@@ -495,7 +498,7 @@ class TestTailFactors:
         five = 5 * x ** -6
         assert g.lo_fraction() >= (1 - five).lo_fraction()
         assert big_g.hi_fraction() <= (1 + five).hi_fraction()
-        assert g.hi < 1 < big_g.lo
+        assert g.hi_fraction() < 1 < big_g.lo_fraction()
 
     def test_limit(self):
         g, big_g = tail_factors(1, 10**9, 128)

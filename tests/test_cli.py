@@ -728,6 +728,12 @@ class TestCache:
         assert [p.name for p in cache_dir.iterdir()] == ["delta_k1.tbl"]
 
 
+# one value per verify option, by argparse dest
+VERIFY_OPTIONS = {"k": ("--k", "1"), "from_n": ("--from", "2"), "to": ("--to", "5"),
+                  "r": ("--r", "3"), "d": ("--d", "2"), "prec": ("--prec", "64"),
+                  "z_grid": ("--z-grid", "1484:1484:1"), "margins": ("--margins",)}
+
+
 class TestUsage:
     def test_workers_flag_removed(self, capsys):
         code, _, err = run(capsys, "verify", "logconcave", "--k", "1", "--to", "10",
@@ -838,6 +844,8 @@ class TestUsage:
         (("verify", "phi-psi", "--k", "2", "--from", "7", "--to", "9", "--d", "3"), "--k"),
         (("verify", "phi-psi", "--from", "7"), "--from"),
         (("verify", "phi-psi", "--to", "9"), "--to"),
+        (("verify", "logconcave", "--k", "1", "--to", "5", "--margins", "--format", "json"),
+         "--margins"),
     ])
     def test_options_the_check_does_not_read(self, capsys, monkeypatch, argv, flag):
         # refused before any work: no table, Bessel sum or certificate
@@ -852,3 +860,22 @@ class TestUsage:
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err == "usage error: verify %s does not take %s\n" % (argv[1], flag)
+
+    @pytest.mark.parametrize("name,dest", [
+        (name, dest) for name, check in cli.CHECKS.items() for dest in VERIFY_OPTIONS
+        if dest not in check.reads - {"margins"}  # --margins is read only for CSV
+    ])
+    def test_every_row_refuses_what_it_does_not_read(self, capsys, monkeypatch, name, dest):
+        # the refusal comes from the row of CHECKS alone, before any work
+        from bkd import asymptotic
+
+        def no_work(*args):
+            raise RuntimeError("work started before the usage check")
+
+        monkeypatch.setattr(cli, "load_table", no_work)
+        monkeypatch.setattr(asymptotic, "bessel_remainder_margin", no_work)
+        monkeypatch.setattr(positivity, "certify_positive_on_ray", no_work)
+        option = VERIFY_OPTIONS[dest]
+        code, out, err = run(capsys, "verify", name, *option)
+        assert code == 3 and out == ""
+        assert err == "usage error: verify %s does not take %s\n" % (name, option[0])

@@ -11,6 +11,7 @@ from bkd.inequalities import (
     theta_monotone_margin,
     turan3_margin,
 )
+from bkd.report import CheckOutcome, VerificationReport
 
 
 def toy(*coeffs):
@@ -162,3 +163,13 @@ class TestScan:
     def test_empty_range_rejected(self, table1):
         with pytest.raises(ValueError):
             scan_check(table1, "x", lambda n: 1, 5, 4)
+
+    def test_one_loop_files_outcomes_by_point(self):
+        # the loop of every verify report: points need not be n
+        outcomes = [CheckOutcome.PASS, CheckOutcome.FAIL, CheckOutcome.INCONCLUSIVE,
+                    CheckOutcome.HYPOTHESIS_NOT_MET, 0, 5, -2]
+        report = VerificationReport("x", 0, 0, 6, margins={})
+        assert report.run(range(7), outcomes.__getitem__) is report
+        assert (report.failures, report.inconclusive, report.skipped) == ([1, 4, 6], [2], [3])
+        assert report.margins == {4: 0, 5: 5, 6: -2}
+        assert report.runtime_ms >= 0 and report.exit_code == 1

@@ -91,7 +91,7 @@ class TestSturmCount:
     def test_psi_has_no_roots_beyond_six(self):
         # sturm_count takes rational polynomials: pi at each end of its enclosure
         pi = pi_interval(256)
-        for end in (pi.lo, pi.hi):
+        for end in (pi.lo_fraction(), pi.hi_fraction()):
             assert sturm_count(substitute_pi(psi_poly(), end), 6, None) == 0
 
     def test_zero_polynomial_rejected(self):
@@ -335,7 +335,7 @@ class TestRayCertificates:
                               0: {0: Fraction(595, 16), 1: -7, 2: 1}})
         pi = to_interval((3, 4), 256)
         assert [sturm_count(substitute_pi(p, end), 0, None)
-                for end in (pi.lo, pi.hi)] == [0, 0]
+                for end in (pi.lo_fraction(), pi.hi_fraction())] == [0, 0]
         at_7_2 = substitute_pi(p, Fraction(7, 2))
         assert sum(c * 5**i for i, c in enumerate(at_7_2)) == Fraction(-1, 16)
         with pytest.raises(Inconclusive):
